@@ -1,9 +1,9 @@
 //! Benchmarks for end-to-end training epochs, including the telemetry
-//! overhead check: `train_with(NoopRecorder)` vs the sharded recorder that
+//! overhead check: `train_traced` with `NoopRecorder` vs the sharded recorder that
 //! `train()` installs. The no-op path should be indistinguishable from
 //! noise (the acceptance bar is ±2%).
 
-use buckwild::{Loss, SgdConfig};
+use buckwild::{Loss, NoopInjector, NoopTracer, SgdConfig};
 use buckwild_bench::harness::Group;
 use buckwild_dataset::generate;
 use buckwild_telemetry::{NoopRecorder, ShardedRecorder};
@@ -30,11 +30,15 @@ fn main() {
         .epochs(1)
         .record_losses(false);
     recorders.bench("noop-recorder/D8M8", (n * m) as u64, || {
-        config.train_with(&problem.data, &NoopRecorder).unwrap()
+        config
+            .train_traced(&problem.data, &NoopRecorder, &NoopInjector, &NoopTracer)
+            .unwrap()
     });
     recorders.bench("sharded-recorder/D8M8", (n * m) as u64, || {
         let recorder = ShardedRecorder::new(config.threads.max(1));
-        config.train_with(&problem.data, &recorder).unwrap()
+        config
+            .train_traced(&problem.data, &recorder, &NoopInjector, &NoopTracer)
+            .unwrap()
     });
     let results = recorders.finish();
     let noop = results[0].ns_per_call;

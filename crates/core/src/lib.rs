@@ -23,7 +23,7 @@
 //! quantizes the input to the signature's precisions, and runs SGD,
 //! returning a [`TrainReport`] with the recovered model, per-epoch losses,
 //! and efficiency metrics (wall time, iterations, GNPS) derived from the
-//! run's telemetry snapshot. [`SgdConfig::train_with`] accepts any
+//! run's telemetry snapshot. [`SgdConfig::train_traced`] accepts any
 //! `buckwild_telemetry::Recorder` for custom instrumentation, and
 //! [`SgdConfig::on_epoch`] installs an observer that can stop training
 //! early.

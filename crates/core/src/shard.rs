@@ -22,54 +22,39 @@
 //!    style error feedback). A full ring skips the broadcast entirely
 //!    and the whole delta carries instead; nothing is ever lost.
 //!
-//! With one worker the exchange is inert and the loop below is a
-//! line-for-line mirror of the shared engine's, so the two backends are
-//! bit-identical — the backend-equivalence tests pin this down.
+//! This module holds only what is genuinely sharded: the arena wiring,
+//! the ring mesh, the cross-epoch [`SyncState`] and the exchange itself.
+//! The SGD iteration and the epoch driver are the shared engine's
+//! (`train.rs`), reached through [`ShardStore`] (a `ModelStore`) and
+//! [`ShardedState`] (a `BackendState`). With one worker the exchange is
+//! inert, so the two backends are bit-identical — the
+//! backend-equivalence tests pin this down.
 
-use std::sync::Barrier;
-use std::time::Instant;
-
-use buckwild_chaos::metric as chaos_metric;
-use buckwild_chaos::{Injector, WorkerInjector};
-use buckwild_dataset::{DenseDataset, SparseDataset};
+use buckwild_fixed::FixedSpec;
 use buckwild_kernels::delta::{packet_bytes, quantize_delta_i8};
 use buckwild_kernels::optimized::FixedInt;
-use buckwild_kernels::weave::{self, BLOCK};
-use buckwild_prng::split_seed;
-use buckwild_telemetry::{Counter, Gauge, Histogram, Recorder};
-use buckwild_trace::{fault_kind, Phase, Tracer, WorkerTracer};
+use buckwild_kernels::weave::WeavedSlice;
+use buckwild_telemetry::{Counter, Recorder};
+use buckwild_trace::{Phase, WorkerTracer};
 
 use crate::arena::{LocalModel, ShardArena};
-use crate::predict::{EpochSnapshot, QuantizedModel};
+use crate::predict::QuantizedModel;
 use crate::ring::DeltaRing;
-use crate::train::{
-    metric, sealed::Sealed, ChaosCounters, QuantState, TrainControl, TrainData, TrainError,
-    TrainProgress, TrainReport, WeavedDense, WorkerCounters, MAX_REPLAYS_PER_EPOCH,
-};
-use crate::{Loss, ModelPrecision, SgdConfig};
+use crate::train::{metric, BackendState, ModelStore};
+use crate::{ModelPrecision, SgdConfig};
 
 /// Packet slots per directed worker pair. Small enough that the rings
 /// stay L2-resident, deep enough that a worker a few exchanges ahead of
 /// a peer does not stall the error-feedback pipeline.
 const RING_CAPACITY: usize = 8;
 
-/// Per-worker scalar context (the sharded analogue of `WorkerCtx`, minus
-/// the shared model reference).
-pub struct ShardCtx {
-    pub(crate) loss: Loss,
-    pub(crate) step: f32,
-    pub(crate) minibatch: usize,
-    pub(crate) worker: usize,
-    pub(crate) threads: usize,
-}
-
 /// Telemetry handles for the delta-exchange hot path; created only for
 /// multi-worker runs so single-worker snapshots carry no `shard.*`
 /// zeros.
-pub struct ShardCounters<C> {
-    pub(crate) packets: C,
-    pub(crate) bytes: C,
-    pub(crate) full_skips: C,
+struct ShardCounters<C> {
+    packets: C,
+    bytes: C,
+    full_skips: C,
 }
 
 /// Cross-epoch exchange state: the snapshot baseline and the
@@ -77,7 +62,7 @@ pub struct ShardCounters<C> {
 /// worker threads do not), so progress that could not be broadcast
 /// before an epoch boundary — full rings, partial exchange windows — is
 /// carried instead of lost.
-pub struct SyncState {
+struct SyncState {
     /// Replica state at the last exchange (peer contributions included).
     snapshot: Vec<f32>,
     /// Own progress not yet broadcast, plus quantization residuals.
@@ -102,7 +87,7 @@ impl SyncState {
 }
 
 /// One worker's half of the delta-exchange protocol.
-pub struct DeltaSync<'a, C> {
+struct DeltaSync<'a, C> {
     /// All pairwise rings, flattened as `producer * threads + consumer`.
     rings: &'a [DeltaRing],
     worker: usize,
@@ -117,55 +102,7 @@ pub struct DeltaSync<'a, C> {
     inbox: Vec<i8>,
 }
 
-impl<'a, C: Counter> DeltaSync<'a, C> {
-    pub(crate) fn new(
-        rings: &'a [DeltaRing],
-        worker: usize,
-        threads: usize,
-        every: usize,
-        counters: Option<ShardCounters<C>>,
-        state: &'a mut SyncState,
-    ) -> Self {
-        let n = state.snapshot.len();
-        DeltaSync {
-            rings,
-            worker,
-            threads,
-            every,
-            countdown: every,
-            counters,
-            state,
-            qbuf: vec![0i8; n],
-            inbox: vec![0i8; n],
-        }
-    }
-
-    /// Called once per SGD iteration; runs an exchange every `every`
-    /// ticks. Inert with a single worker.
-    #[inline]
-    pub(crate) fn tick<T: WorkerTracer>(&mut self, local: &mut LocalModel<'_>, tracer: &mut T) {
-        if self.threads == 1 {
-            return;
-        }
-        self.countdown -= 1;
-        if self.countdown > 0 {
-            return;
-        }
-        self.countdown = self.every;
-        self.exchange(local, tracer);
-    }
-
-    /// One last exchange at the end of the worker's epoch, so progress
-    /// from a partial exchange window reaches the peers (or the
-    /// error-feedback accumulator) instead of waiting a whole epoch.
-    /// Inert with a single worker.
-    pub(crate) fn flush<T: WorkerTracer>(&mut self, local: &mut LocalModel<'_>, tracer: &mut T) {
-        if self.threads == 1 {
-            return;
-        }
-        self.exchange(local, tracer);
-    }
-
+impl<C: Counter> DeltaSync<'_, C> {
     fn exchange<T: WorkerTracer>(&mut self, local: &mut LocalModel<'_>, tracer: &mut T) {
         let span = tracer.begin();
         let mut packets = 0u64;
@@ -217,662 +154,222 @@ impl<'a, C: Counter> DeltaSync<'a, C> {
     }
 }
 
-/// The sharded-backend driver: mirrors the shared engine's epoch loop
-/// (checkpoint/rollback, observer, telemetry, tracing) over a
-/// [`ShardArena`] and a mesh of SPSC rings.
-pub(crate) fn train_sharded<D, R, I, T>(
-    config: &SgdConfig,
-    data: &D,
-    recorder: &R,
-    injector: &I,
-    tracer: &T,
-) -> Result<TrainReport, TrainError>
-where
-    D: TrainData,
-    R: Recorder,
-    I: Injector,
-    T: Tracer,
-{
-    // `validate()` and the emptiness check already ran in `train_traced`.
-    let precision = ModelPrecision::from_signature(&config.signature).expect("validated");
-    let weave_before = weave::encodes();
-    let prepared = data.prepare(config);
-    let weave_delta = weave::encodes().wrapping_sub(weave_before);
-    if weave_delta > 0 {
-        recorder.counter(metric::WEAVE_ENCODES).add(weave_delta);
+/// One worker's model store on this backend: its private replica paired
+/// with its half of the exchange. The dot/AXPY methods are the replica's;
+/// the hooks pin the thread and run the exchange.
+pub(crate) struct ShardStore<'a, C> {
+    local: LocalModel<'a>,
+    sync: DeltaSync<'a, C>,
+    /// Core to pin the worker thread to (best effort).
+    core: usize,
+}
+
+impl<C: Counter> ModelStore for ShardStore<'_, C> {
+    #[inline]
+    fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32 {
+        self.local.dot_fixed(x, x_spec)
     }
-    let m = Sealed::examples(data);
-    let n = data.model_features();
-    let threads = config.threads;
-    let mut arena = ShardArena::new(precision, threads, n);
-    let rings: Vec<DeltaRing> = if threads > 1 {
-        (0..threads * threads)
-            .map(|_| DeltaRing::new(RING_CAPACITY, n))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let cores = buckwild_affinity::core_count().max(1);
-    let mut sync_states: Vec<SyncState> = (0..threads).map(|_| SyncState::zeros(n)).collect();
-    let mut epoch_losses = Vec::new();
-    let epoch_seconds = recorder.histogram(metric::EPOCH_SECONDS);
-    let publish_ns = config
-        .on_snapshot
-        .as_ref()
-        .map(|_| recorder.counter(metric::SNAPSHOT_PUBLISH_NS));
-    let mut wall = 0f64;
-    let checkpoint_every = injector.checkpoint_epochs();
-    let mut checkpoint: Option<Vec<f32>> = checkpoint_every.map(|_| arena.checkpoint());
-    let mut clean_epochs = 0u32;
-    let recovery = if I::ACTIVE {
-        Some((
-            recorder.counter(chaos_metric::RECOVERIES),
-            recorder.counter(chaos_metric::REPLAYED_ITERATIONS),
-        ))
-    } else {
-        None
-    };
-    let mut driver = tracer.worker(threads);
-    let mut epoch = 0usize;
-    let mut replays = 0u32;
-    while epoch < config.epochs {
-        let step = config.step_size * config.step_decay.powi(epoch as i32);
-        let epoch_span = driver.begin();
-        let mut crashed = 0usize;
-        let mut secs = 0f64;
-        // Workers rendezvous here before touching data, and the driver
-        // starts the clock only after the release — spawn overhead stays
-        // out of the throughput measurement.
-        let barrier = Barrier::new(threads + 1);
-        let views = arena.views();
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(threads);
-            for (t, (mut local, state)) in views.into_iter().zip(sync_states.iter_mut()).enumerate()
-            {
-                let prepared = &prepared;
-                let rings = &rings;
-                let barrier = &barrier;
-                let mut rng = QuantState::new(
-                    &config.quantizer,
-                    config.rounding,
-                    split_seed(config.seed, (epoch * threads + t) as u64 + 1),
-                );
-                let ctx = ShardCtx {
-                    loss: config.loss,
-                    step,
-                    minibatch: config.minibatch,
+    #[inline]
+    fn dot_weaved(&self, x: WeavedSlice<'_>, bits: u32) -> f32 {
+        self.local.dot_weaved(x, bits)
+    }
+    #[inline]
+    fn dot_f32(&self, x: &[f32]) -> f32 {
+        self.local.dot_f32(x)
+    }
+    #[inline]
+    fn dot_sparse_fixed<D: FixedInt>(
+        &self,
+        values: &[D],
+        indices: &[u32],
+        x_spec: &FixedSpec,
+    ) -> f32 {
+        self.local.dot_sparse_fixed(values, indices, x_spec)
+    }
+    #[inline]
+    fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32 {
+        self.local.dot_sparse_f32(values, indices)
+    }
+    #[inline]
+    fn axpy_fixed<D: FixedInt>(
+        &mut self,
+        a: f32,
+        x: &[D],
+        x_spec: &FixedSpec,
+        offsets: &mut dyn FnMut(usize) -> i64,
+    ) {
+        self.local.axpy_fixed(a, x, x_spec, offsets);
+    }
+    #[inline]
+    fn axpy_fixed_block<D: FixedInt>(
+        &mut self,
+        a: f32,
+        x: &[D],
+        x_spec: &FixedSpec,
+        offsets: &[i64; 8],
+    ) {
+        self.local.axpy_fixed_block(a, x, x_spec, offsets);
+    }
+    #[inline]
+    fn axpy_weaved(
+        &mut self,
+        a: f32,
+        x: WeavedSlice<'_>,
+        bits: u32,
+        offsets: &mut dyn FnMut(usize) -> i64,
+    ) {
+        self.local.axpy_weaved(a, x, bits, offsets);
+    }
+    #[inline]
+    fn axpy_weaved_block(&mut self, a: f32, x: WeavedSlice<'_>, bits: u32, offsets: &[i64; 8]) {
+        self.local.axpy_weaved_block(a, x, bits, offsets);
+    }
+    #[inline]
+    fn axpy_f32(&mut self, a: f32, x: &[f32], uniforms: &mut dyn FnMut(usize) -> f32) {
+        self.local.axpy_f32(a, x, uniforms);
+    }
+    #[inline]
+    fn axpy_sparse_fixed<D: FixedInt>(
+        &mut self,
+        a: f32,
+        values: &[D],
+        indices: &[u32],
+        x_spec: &FixedSpec,
+        offsets: &mut dyn FnMut(usize) -> i64,
+    ) {
+        self.local
+            .axpy_sparse_fixed(a, values, indices, x_spec, offsets);
+    }
+    #[inline]
+    fn axpy_sparse_f32(
+        &mut self,
+        a: f32,
+        values: &[f32],
+        indices: &[u32],
+        uniforms: &mut dyn FnMut(usize) -> f32,
+    ) {
+        self.local.axpy_sparse_f32(a, values, indices, uniforms);
+    }
+
+    /// Pins the thread, then allocates the exchange scratch on it: the
+    /// worker frees these buffers, so they come from its own malloc arena
+    /// instead of fragmenting the driver's between epochs.
+    fn attach(&mut self) {
+        let _ = buckwild_affinity::pin_current_thread(self.core);
+        self.sync.qbuf = vec![0i8; self.local.len()];
+        self.sync.inbox = vec![0i8; self.local.len()];
+    }
+
+    /// Runs an exchange every `delta_every` iterations. Inert with a
+    /// single worker.
+    #[inline]
+    fn tick<T: WorkerTracer>(&mut self, tracer: &mut T) {
+        let sync = &mut self.sync;
+        if sync.threads == 1 {
+            return;
+        }
+        sync.countdown -= 1;
+        if sync.countdown == 0 {
+            sync.countdown = sync.every;
+            sync.exchange(&mut self.local, tracer);
+        }
+    }
+
+    /// One last exchange at the end of the worker's epoch, so progress
+    /// from a partial exchange window reaches the peers (or the
+    /// error-feedback accumulator) instead of waiting a whole epoch.
+    /// Inert with a single worker.
+    fn flush<T: WorkerTracer>(&mut self, tracer: &mut T) {
+        if self.sync.threads > 1 {
+            self.sync.exchange(&mut self.local, tracer);
+        }
+    }
+}
+
+/// The sharded backend as the epoch driver sees it: the replica arena,
+/// the ring mesh, and the exchange state that outlives an epoch's worker
+/// threads.
+pub(crate) struct ShardedState {
+    precision: ModelPrecision,
+    arena: ShardArena,
+    rings: Vec<DeltaRing>,
+    sync_states: Vec<SyncState>,
+    delta_every: usize,
+    cores: usize,
+}
+
+impl ShardedState {
+    pub(crate) fn new(config: &SgdConfig, precision: ModelPrecision, n: usize) -> Self {
+        let threads = config.threads;
+        let rings = if threads > 1 { threads * threads } else { 0 };
+        ShardedState {
+            precision,
+            arena: ShardArena::new(precision, threads, n),
+            rings: (0..rings)
+                .map(|_| DeltaRing::new(RING_CAPACITY, n))
+                .collect(),
+            sync_states: (0..threads).map(|_| SyncState::zeros(n)).collect(),
+            delta_every: config.delta_every,
+            cores: buckwild_affinity::core_count().max(1),
+        }
+    }
+}
+
+impl<R: Recorder> BackendState<R> for ShardedState {
+    type Store<'a> = ShardStore<'a, R::Counter>;
+
+    fn stores(&mut self, threads: usize, recorder: &R) -> Vec<ShardStore<'_, R::Counter>> {
+        let (rings, every, cores) = (&self.rings, self.delta_every, self.cores);
+        let views = self.arena.views().into_iter();
+        views
+            .zip(self.sync_states.iter_mut())
+            .enumerate()
+            .map(|(t, (local, state))| ShardStore {
+                sync: DeltaSync {
+                    rings,
                     worker: t,
                     threads,
-                };
-                let counters = WorkerCounters {
-                    iterations: recorder.worker_counter(metric::ITERATIONS, t),
-                    numbers: recorder.worker_counter(metric::NUMBERS_PROCESSED, t),
-                    rounds: recorder.worker_counter(metric::ROUND_EVENTS, t),
-                    chaos: I::ACTIVE.then(|| ChaosCounters {
-                        stalls: recorder.worker_counter(chaos_metric::STALLS, t),
-                        dropped: recorder.worker_counter(chaos_metric::DROPPED_WRITES, t),
-                        stall_ticks: recorder.worker_histogram(chaos_metric::STALL_TICKS, t),
+                    every,
+                    countdown: every,
+                    counters: (threads > 1).then(|| ShardCounters {
+                        packets: recorder.worker_counter(metric::DELTA_PACKETS, t),
+                        bytes: recorder.worker_counter(metric::DELTA_BYTES, t),
+                        full_skips: recorder.worker_counter(metric::RING_FULL_SKIPS, t),
                     }),
-                };
-                let shard_counters = (threads > 1).then(|| ShardCounters {
-                    packets: recorder.worker_counter(metric::DELTA_PACKETS, t),
-                    bytes: recorder.worker_counter(metric::DELTA_BYTES, t),
-                    full_skips: recorder.worker_counter(metric::RING_FULL_SKIPS, t),
-                });
-                let mut inj = injector.worker(t, epoch);
-                let mut wtracer = tracer.worker(t);
-                let delta_every = config.delta_every;
-                handles.push(s.spawn(move || {
-                    let _ = buckwild_affinity::pin_current_thread(t % cores);
-                    let mut sync =
-                        DeltaSync::new(rings, t, threads, delta_every, shard_counters, state);
-                    barrier.wait();
-                    D::run_worker_sharded(
-                        prepared,
-                        &ctx,
-                        &mut local,
-                        &mut sync,
-                        &counters,
-                        &mut rng,
-                        &mut inj,
-                        &mut wtracer,
-                    )
-                }));
-            }
-            barrier.wait();
-            let start = Instant::now();
-            crashed = handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .filter(|&c| c)
-                .count();
-            secs = start.elapsed().as_secs_f64();
-        });
-        epoch_seconds.record(secs);
-        driver.end(Phase::Epoch, epoch_span, epoch as u64);
-        wall += secs;
-        if crashed > 0 {
-            if let Some(ckpt) = &checkpoint {
-                if replays < MAX_REPLAYS_PER_EPOCH {
-                    replays += 1;
-                    if let Some((recoveries, replayed)) = &recovery {
-                        recoveries.add(crashed as u64);
-                        replayed.add(m as u64);
-                    }
-                    let recovery_span = driver.begin();
-                    arena.restore(ckpt);
-                    // Ring and exchange-state contents describe the
-                    // abandoned timeline.
-                    for ring in &rings {
-                        ring.clear();
-                    }
-                    for (t, state) in sync_states.iter_mut().enumerate() {
-                        state.rollback(&ckpt[t * n..(t + 1) * n]);
-                    }
-                    driver.end(Phase::ChaosFault, recovery_span, fault_kind::RECOVERY);
-                    continue;
-                }
-            }
-            // No checkpoint: the dead worker's epoch share is simply lost,
-            // exactly as in the shared engine.
-        }
-        // Publish the epoch-tagged snapshot: the replica mean, quantized
-        // back onto the model grid so consumers see the same storage
-        // representation as the shared backend. Runs after the timed
-        // region closed — cost lands in `snapshot.publish_ns`, not GNPS.
-        if let (Some(publish), Some(publish_ns)) = (&config.on_snapshot, &publish_ns) {
-            let publish_start = Instant::now();
-            publish(EpochSnapshot {
-                epoch: epoch as u64,
-                model: std::sync::Arc::new(QuantizedModel::quantize(
-                    &arena.mean_snapshot(),
-                    precision,
-                )),
-            });
-            publish_ns.add(publish_start.elapsed().as_nanos() as u64);
-        }
-        let loss = if config.record_losses {
-            let l = data.mean_loss(config.loss, &arena.mean_snapshot());
-            epoch_losses.push(l);
-            Some(l)
-        } else {
-            None
-        };
-        let mut stop = false;
-        if let Some(observer) = &config.on_epoch {
-            let progress = TrainProgress {
-                epoch,
-                epochs: config.epochs,
-                loss,
-                wall_seconds: wall,
-                iterations: (m * (epoch + 1)) as u64,
-            };
-            stop = observer(&progress) == TrainControl::Stop;
-        }
-        epoch += 1;
-        replays = 0;
-        if let Some(every) = checkpoint_every {
-            clean_epochs += 1;
-            if clean_epochs >= every.get() {
-                checkpoint = Some(arena.checkpoint());
-                clean_epochs = 0;
-            }
-        }
-        if stop {
-            break;
-        }
+                    qbuf: Vec::new(),
+                    inbox: Vec::new(),
+                    state,
+                },
+                local,
+                core: t % cores,
+            })
+            .collect()
     }
-    let snapshot = recorder.snapshot();
-    if let Some(numbers) = snapshot.counter(metric::NUMBERS_PROCESSED) {
-        recorder
-            .gauge(metric::GNPS)
-            .set(numbers as f64 / wall.max(1e-12) / 1e9);
-    }
-    Ok(TrainReport::from_parts(
-        arena.mean_snapshot(),
-        epoch_losses,
-        recorder.snapshot(),
-    ))
-}
 
-// The four worker loops below are line-for-line mirrors of the shared
-// engine's (`train.rs`), with the shared-model calls replaced by the
-// private replica and one `sync.tick` per iteration. Keeping the shape
-// identical is deliberate: it is what makes the one-worker runs
-// bit-identical across backends.
+    fn checkpoint(&self) -> Vec<f32> {
+        self.arena.checkpoint()
+    }
 
-#[allow(clippy::too_many_arguments)] // mirrors the shared-engine worker signature plus the delta sync
-pub(crate) fn worker_dense_fixed<
-    D: FixedInt,
-    C: Counter,
-    H: Histogram,
-    W: WorkerInjector,
-    T: WorkerTracer,
->(
-    ctx: &ShardCtx,
-    data: &DenseDataset<D>,
-    local: &mut LocalModel<'_>,
-    sync: &mut DeltaSync<'_, C>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let x_spec = data.spec();
-    let n = data.features();
-    let mut scratch = if ctx.minibatch > 1 {
-        vec![0f32; n]
-    } else {
-        Vec::new()
-    };
-    let mut batch_fill = 0usize;
-    for i in (ctx.worker..data.examples()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
+    /// Restores every replica, and drops ring and exchange-state contents:
+    /// they describe the abandoned timeline.
+    fn restore(&mut self, checkpoint: &[f32]) {
+        self.arena.restore(checkpoint);
+        for ring in &self.rings {
+            ring.clear();
         }
-        let iter_span = tracer.begin();
-        let x = data.example(i);
-        let y = data.label(i);
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(n as u64);
-        let kernel_span = tracer.begin();
-        let dot = local.dot_fixed(x, &x_spec);
-        tracer.end(Phase::GradientKernel, kernel_span, n as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    match rng.block_offsets() {
-                        Some(offs) => local.axpy_fixed_block(a, x, &x_spec, &offs),
-                        None => {
-                            let mut off = |j: usize| rng.offset15(j);
-                            local.axpy_fixed(a, x, &x_spec, &mut off);
-                        }
-                    }
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                let qa = a * x_spec.quantum();
-                for (sj, xj) in scratch.iter_mut().zip(x) {
-                    *sj += qa * xj.widen() as f32;
-                }
-            }
-            batch_fill += 1;
-            if batch_fill == ctx.minibatch {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    local.axpy_f32(1.0, &scratch, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-                scratch.fill(0.0);
-                batch_fill = 0;
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-        sync.tick(local, tracer);
-    }
-    if batch_fill > 0 {
-        if inj.keep_write() {
-            counters.rounds.add(n as u64);
-            let write_span = tracer.begin();
-            let mut uni = |j: usize| rng.uniform(j);
-            local.axpy_f32(1.0, &scratch, &mut uni);
-            tracer.end(Phase::ModelWrite, write_span, n as u64);
-        } else {
-            counters.count_dropped();
+        let n = checkpoint.len() / self.sync_states.len();
+        for (state, replica) in self.sync_states.iter_mut().zip(checkpoint.chunks(n)) {
+            state.rollback(replica);
         }
     }
-    sync.flush(local, tracer);
-    false
-}
 
-#[allow(clippy::too_many_arguments)] // mirrors the shared-engine worker signature plus the delta sync
-pub(crate) fn worker_dense_weaved<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-    ctx: &ShardCtx,
-    data: &WeavedDense,
-    local: &mut LocalModel<'_>,
-    sync: &mut DeltaSync<'_, C>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let x_spec = *data.matrix.spec();
-    let bits = x_spec.bits();
-    let n = data.matrix.features();
-    let mut scratch = if ctx.minibatch > 1 {
-        vec![0f32; n]
-    } else {
-        Vec::new()
-    };
-    let mut decoded = [0i32; BLOCK];
-    let mut batch_fill = 0usize;
-    for i in (ctx.worker..data.matrix.rows()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let x = data.matrix.row(i);
-        let y = data.labels[i];
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(n as u64);
-        let kernel_span = tracer.begin();
-        let dot = local.dot_weaved(x, bits);
-        tracer.end(Phase::GradientKernel, kernel_span, n as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    match rng.block_offsets() {
-                        Some(offs) => local.axpy_weaved_block(a, x, bits, &offs),
-                        None => {
-                            let mut off = |j: usize| rng.offset15(j);
-                            local.axpy_weaved(a, x, bits, &mut off);
-                        }
-                    }
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                let qa = a * x_spec.quantum();
-                for b in 0..x.blocks() {
-                    let filled = x.decode_block(b, bits, &mut decoded);
-                    let base = b * BLOCK;
-                    for (j, &xv) in decoded[..filled].iter().enumerate() {
-                        scratch[base + j] += qa * xv as f32;
-                    }
-                }
-            }
-            batch_fill += 1;
-            if batch_fill == ctx.minibatch {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    local.axpy_f32(1.0, &scratch, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-                scratch.fill(0.0);
-                batch_fill = 0;
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-        sync.tick(local, tracer);
+    /// The replica mean, quantized back onto the model grid so consumers
+    /// see the same storage representation as the shared backend.
+    fn snapshot_quantized(&self) -> QuantizedModel {
+        QuantizedModel::quantize(&self.arena.mean_snapshot(), self.precision)
     }
-    if batch_fill > 0 {
-        if inj.keep_write() {
-            counters.rounds.add(n as u64);
-            let write_span = tracer.begin();
-            let mut uni = |j: usize| rng.uniform(j);
-            local.axpy_f32(1.0, &scratch, &mut uni);
-            tracer.end(Phase::ModelWrite, write_span, n as u64);
-        } else {
-            counters.count_dropped();
-        }
-    }
-    sync.flush(local, tracer);
-    false
-}
 
-#[allow(clippy::too_many_arguments)] // mirrors the shared-engine worker signature plus the delta sync
-pub(crate) fn worker_dense_f32<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-    ctx: &ShardCtx,
-    data: &DenseDataset<f32>,
-    local: &mut LocalModel<'_>,
-    sync: &mut DeltaSync<'_, C>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let n = data.features();
-    let mut scratch = if ctx.minibatch > 1 {
-        vec![0f32; n]
-    } else {
-        Vec::new()
-    };
-    let mut batch_fill = 0usize;
-    for i in (ctx.worker..data.examples()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let x = data.example(i);
-        let y = data.label(i);
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(n as u64);
-        let kernel_span = tracer.begin();
-        let dot = local.dot_f32(x);
-        tracer.end(Phase::GradientKernel, kernel_span, n as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    local.axpy_f32(a, x, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                for (sj, &xj) in scratch.iter_mut().zip(x) {
-                    *sj += a * xj;
-                }
-            }
-            batch_fill += 1;
-            if batch_fill == ctx.minibatch {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    local.axpy_f32(1.0, &scratch, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-                scratch.fill(0.0);
-                batch_fill = 0;
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-        sync.tick(local, tracer);
+    fn snapshot(&self) -> Vec<f32> {
+        self.arena.mean_snapshot()
     }
-    if batch_fill > 0 {
-        if inj.keep_write() {
-            counters.rounds.add(n as u64);
-            let write_span = tracer.begin();
-            let mut uni = |j: usize| rng.uniform(j);
-            local.axpy_f32(1.0, &scratch, &mut uni);
-            tracer.end(Phase::ModelWrite, write_span, n as u64);
-        } else {
-            counters.count_dropped();
-        }
-    }
-    sync.flush(local, tracer);
-    false
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors the shared-engine worker signature plus the delta sync
-pub(crate) fn worker_sparse_fixed<
-    D: FixedInt,
-    C: Counter,
-    H: Histogram,
-    W: WorkerInjector,
-    T: WorkerTracer,
->(
-    ctx: &ShardCtx,
-    data: &SparseDataset<D, u32>,
-    local: &mut LocalModel<'_>,
-    sync: &mut DeltaSync<'_, C>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let x_spec = data.spec();
-    let mut batch: Vec<(usize, f32)> = Vec::new();
-    for i in (ctx.worker..data.examples()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let ex = data.example(i);
-        let y = data.label(i);
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(ex.nnz() as u64);
-        let kernel_span = tracer.begin();
-        let dot = local.dot_sparse_fixed(ex.values, ex.indices, &x_spec);
-        tracer.end(Phase::GradientKernel, kernel_span, ex.nnz() as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(ex.nnz() as u64);
-                    let write_span = tracer.begin();
-                    let mut off = |j: usize| rng.offset15(j);
-                    local.axpy_sparse_fixed(a, ex.values, ex.indices, &x_spec, &mut off);
-                    tracer.end(Phase::ModelWrite, write_span, ex.nnz() as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                batch.push((i, a));
-            }
-            if batch.len() >= ctx.minibatch {
-                for &(pi, pa) in &batch {
-                    if !inj.keep_write() {
-                        counters.count_dropped();
-                        continue;
-                    }
-                    let pex = data.example(pi);
-                    counters.rounds.add(pex.nnz() as u64);
-                    let write_span = tracer.begin();
-                    let mut off = |j: usize| rng.offset15(j);
-                    local.axpy_sparse_fixed(pa, pex.values, pex.indices, &x_spec, &mut off);
-                    tracer.end(Phase::ModelWrite, write_span, pex.nnz() as u64);
-                }
-                batch.clear();
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-        sync.tick(local, tracer);
-    }
-    for &(pi, pa) in &batch {
-        if !inj.keep_write() {
-            counters.count_dropped();
-            continue;
-        }
-        let pex = data.example(pi);
-        counters.rounds.add(pex.nnz() as u64);
-        let write_span = tracer.begin();
-        let mut off = |j: usize| rng.offset15(j);
-        local.axpy_sparse_fixed(pa, pex.values, pex.indices, &x_spec, &mut off);
-        tracer.end(Phase::ModelWrite, write_span, pex.nnz() as u64);
-    }
-    sync.flush(local, tracer);
-    false
-}
-
-#[allow(clippy::too_many_arguments)] // mirrors the shared-engine worker signature plus the delta sync
-pub(crate) fn worker_sparse_f32<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-    ctx: &ShardCtx,
-    data: &SparseDataset<f32, u32>,
-    local: &mut LocalModel<'_>,
-    sync: &mut DeltaSync<'_, C>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let mut batch: Vec<(usize, f32)> = Vec::new();
-    for i in (ctx.worker..data.examples()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let ex = data.example(i);
-        let y = data.label(i);
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(ex.nnz() as u64);
-        let kernel_span = tracer.begin();
-        let dot = local.dot_sparse_f32(ex.values, ex.indices);
-        tracer.end(Phase::GradientKernel, kernel_span, ex.nnz() as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(ex.nnz() as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    local.axpy_sparse_f32(a, ex.values, ex.indices, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, ex.nnz() as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                batch.push((i, a));
-            }
-            if batch.len() >= ctx.minibatch {
-                for &(pi, pa) in &batch {
-                    if !inj.keep_write() {
-                        counters.count_dropped();
-                        continue;
-                    }
-                    let pex = data.example(pi);
-                    counters.rounds.add(pex.nnz() as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    local.axpy_sparse_f32(pa, pex.values, pex.indices, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, pex.nnz() as u64);
-                }
-                batch.clear();
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-        sync.tick(local, tracer);
-    }
-    for &(pi, pa) in &batch {
-        if !inj.keep_write() {
-            counters.count_dropped();
-            continue;
-        }
-        let pex = data.example(pi);
-        counters.rounds.add(pex.nnz() as u64);
-        let write_span = tracer.begin();
-        let mut uni = |j: usize| rng.uniform(j);
-        local.axpy_sparse_f32(pa, pex.values, pex.indices, &mut uni);
-        tracer.end(Phase::ModelWrite, write_span, pex.nnz() as u64);
-    }
-    sync.flush(local, tracer);
-    false
 }

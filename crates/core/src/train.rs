@@ -5,9 +5,14 @@
 //! the `buckwild-telemetry` [`Recorder`] abstraction: [`SgdConfig::train`]
 //! collects real metrics with a sharded recorder and derives the
 //! [`TrainReport`] efficiency numbers from them, while
-//! [`SgdConfig::train_with`] lets callers supply their own recorder
+//! [`SgdConfig::train_traced`] lets callers supply their own recorder
 //! (including `NoopRecorder`, which compiles every instrumentation point
-//! away).
+//! away), injector and tracer.
+//!
+//! Every configuration runs the same two functions: `worker_loop`, the
+//! SGD iteration written against a [`ModelStore`] (where the model lives)
+//! and an [`Examples`] source (what a row is), and `run_epochs`, the
+//! epoch driver written against a `BackendState`.
 
 use std::num::NonZeroU32;
 use std::time::Instant;
@@ -16,27 +21,28 @@ use buckwild_chaos::metric as chaos_metric;
 use buckwild_chaos::{
     FaultPlan, Injector, IterFate, NoopInjector, PlanError, PlanInjector, WorkerInjector,
 };
-use buckwild_dataset::{DenseDataset, Label, SparseDataset};
+use buckwild_dataset::{DenseDataset, Label, SparseDataset, SparseExample};
 use buckwild_fixed::{FixedSpec, Rounding};
 use buckwild_kernels::cost::QuantizerKind;
 use buckwild_kernels::optimized::FixedInt;
-use buckwild_kernels::weave::{self, WeavedMatrix, BLOCK};
+use buckwild_kernels::weave::{self, WeavedMatrix, WeavedSlice, BLOCK};
 use buckwild_kernels::KernelFlavor;
 use buckwild_prng::{split_seed, Mt19937, Prng, XorshiftLanes};
 use buckwild_telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Recorder, ShardedRecorder};
 use buckwild_trace::{fault_kind, NoopTracer, Phase, Tracer, WorkerTracer};
 
 use crate::config::{Backend, QuantizerConfig};
-use crate::predict::EpochSnapshot;
+use crate::predict::{EpochSnapshot, QuantizedModel};
+use crate::shard::ShardedState;
 use crate::{metrics, ConfigError, Loss, ModelPrecision, SgdConfig, SharedModel};
 
 /// Replay attempts per epoch before the engine gives up on recovery and
 /// accepts the partial epoch — a guard against injectors that crash the
 /// same epoch forever ([`PlanInjector`] consumes each crash, so plan-driven
 /// runs never hit it).
-pub(crate) const MAX_REPLAYS_PER_EPOCH: u32 = 8;
+const MAX_REPLAYS_PER_EPOCH: u32 = 8;
 
-/// Metric names recorded by [`SgdConfig::train`] / [`SgdConfig::train_with`].
+/// Metric names recorded by [`SgdConfig::train`] / [`SgdConfig::train_traced`].
 pub mod metric {
     /// Counter: SGD iterations (examples visited), sharded per worker.
     pub const ITERATIONS: &str = "train.iterations";
@@ -119,7 +125,7 @@ impl From<PlanError> for TrainError {
 /// [`Self::iterations`], [`Self::numbers_processed`]) are read from the
 /// telemetry snapshot taken at the end of the run — the recorder is the
 /// single source of truth. When training ran through
-/// [`SgdConfig::train_with`] with a `NoopRecorder`, the snapshot is empty
+/// [`SgdConfig::train_traced`] with a `NoopRecorder`, the snapshot is empty
 /// and they all report zero; the model and losses are exact either way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
@@ -401,6 +407,11 @@ impl QuantState {
     }
 }
 
+/// Marks a dataset with fixed-point elements, so it and its `f32` twin can
+/// each implement [`Examples`] without overlapping.
+#[doc(hidden)]
+pub struct Fixed<T>(T);
+
 /// Dataset quantized to the signature's `D` precision.
 ///
 /// `pub` only because it appears in the sealed engine trait; the `train`
@@ -408,8 +419,8 @@ impl QuantState {
 #[doc(hidden)]
 pub enum DenseQuant<'a> {
     F32(&'a DenseDataset<f32>),
-    I16(DenseDataset<i16>),
-    I8(DenseDataset<i8>),
+    I16(Fixed<DenseDataset<i16>>),
+    I8(Fixed<DenseDataset<i8>>),
     Weaved(WeavedDense),
 }
 
@@ -420,8 +431,8 @@ pub enum DenseQuant<'a> {
 /// [`DenseQuant`]).
 #[doc(hidden)]
 pub struct WeavedDense {
-    pub(crate) matrix: WeavedMatrix,
-    pub(crate) labels: Vec<Label>,
+    matrix: WeavedMatrix,
+    labels: Vec<Label>,
 }
 
 impl WeavedDense {
@@ -445,78 +456,564 @@ impl WeavedDense {
 #[doc(hidden)]
 pub enum SparseQuant<'a> {
     F32(&'a SparseDataset<f32, u32>),
-    I16(SparseDataset<i16, u32>),
-    I8(SparseDataset<i8, u32>),
+    I16(Fixed<SparseDataset<i16, u32>>),
+    I8(Fixed<SparseDataset<i8, u32>>),
 }
 
-/// Everything a worker needs besides the data and its RNG state.
+/// Where one worker's model lives for an epoch: the shared atomic vector
+/// (`&SharedModel`) or a private replica paired with its delta exchange
+/// ([`crate::shard::ShardStore`]). The dot/AXPY methods forward to the
+/// store's own arithmetic; the hooks are where the sharded store pins its
+/// thread and runs the exchange, and are no-ops for the shared store.
 #[doc(hidden)]
-pub struct WorkerCtx<'a> {
-    model: &'a SharedModel,
+pub trait ModelStore {
+    fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32;
+    fn dot_weaved(&self, x: WeavedSlice<'_>, bits: u32) -> f32;
+    fn dot_f32(&self, x: &[f32]) -> f32;
+    fn dot_sparse_fixed<D: FixedInt>(
+        &self,
+        values: &[D],
+        indices: &[u32],
+        x_spec: &FixedSpec,
+    ) -> f32;
+    fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32;
+    fn axpy_fixed<D: FixedInt>(
+        &mut self,
+        a: f32,
+        x: &[D],
+        x_spec: &FixedSpec,
+        offsets: &mut dyn FnMut(usize) -> i64,
+    );
+    fn axpy_fixed_block<D: FixedInt>(
+        &mut self,
+        a: f32,
+        x: &[D],
+        x_spec: &FixedSpec,
+        offsets: &[i64; 8],
+    );
+    fn axpy_weaved(
+        &mut self,
+        a: f32,
+        x: WeavedSlice<'_>,
+        bits: u32,
+        offsets: &mut dyn FnMut(usize) -> i64,
+    );
+    fn axpy_weaved_block(&mut self, a: f32, x: WeavedSlice<'_>, bits: u32, offsets: &[i64; 8]);
+    fn axpy_f32(&mut self, a: f32, x: &[f32], uniforms: &mut dyn FnMut(usize) -> f32);
+    fn axpy_sparse_fixed<D: FixedInt>(
+        &mut self,
+        a: f32,
+        values: &[D],
+        indices: &[u32],
+        x_spec: &FixedSpec,
+        offsets: &mut dyn FnMut(usize) -> i64,
+    );
+    fn axpy_sparse_f32(
+        &mut self,
+        a: f32,
+        values: &[f32],
+        indices: &[u32],
+        uniforms: &mut dyn FnMut(usize) -> f32,
+    );
+
+    /// Runs on the worker's own thread before the start barrier.
+    #[inline]
+    fn attach(&mut self) {}
+    /// Runs after every SGD iteration.
+    #[inline]
+    fn tick<T: WorkerTracer>(&mut self, _tracer: &mut T) {}
+    /// Runs after the worker's last iteration, unless it crashed.
+    #[inline]
+    fn flush<T: WorkerTracer>(&mut self, _tracer: &mut T) {}
+}
+
+impl ModelStore for &SharedModel {
+    #[inline]
+    fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32 {
+        SharedModel::dot_fixed(self, x, x_spec)
+    }
+    #[inline]
+    fn dot_weaved(&self, x: WeavedSlice<'_>, bits: u32) -> f32 {
+        SharedModel::dot_weaved(self, x, bits)
+    }
+    #[inline]
+    fn dot_f32(&self, x: &[f32]) -> f32 {
+        SharedModel::dot_f32(self, x)
+    }
+    #[inline]
+    fn dot_sparse_fixed<D: FixedInt>(
+        &self,
+        values: &[D],
+        indices: &[u32],
+        x_spec: &FixedSpec,
+    ) -> f32 {
+        SharedModel::dot_sparse_fixed(self, values, indices, x_spec)
+    }
+    #[inline]
+    fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32 {
+        SharedModel::dot_sparse_f32(self, values, indices)
+    }
+    #[inline]
+    fn axpy_fixed<D: FixedInt>(
+        &mut self,
+        a: f32,
+        x: &[D],
+        x_spec: &FixedSpec,
+        offsets: &mut dyn FnMut(usize) -> i64,
+    ) {
+        SharedModel::axpy_fixed(self, a, x, x_spec, offsets);
+    }
+    #[inline]
+    fn axpy_fixed_block<D: FixedInt>(
+        &mut self,
+        a: f32,
+        x: &[D],
+        x_spec: &FixedSpec,
+        offsets: &[i64; 8],
+    ) {
+        SharedModel::axpy_fixed_block(self, a, x, x_spec, offsets);
+    }
+    #[inline]
+    fn axpy_weaved(
+        &mut self,
+        a: f32,
+        x: WeavedSlice<'_>,
+        bits: u32,
+        offsets: &mut dyn FnMut(usize) -> i64,
+    ) {
+        SharedModel::axpy_weaved(self, a, x, bits, offsets);
+    }
+    #[inline]
+    fn axpy_weaved_block(&mut self, a: f32, x: WeavedSlice<'_>, bits: u32, offsets: &[i64; 8]) {
+        SharedModel::axpy_weaved_block(self, a, x, bits, offsets);
+    }
+    #[inline]
+    fn axpy_f32(&mut self, a: f32, x: &[f32], uniforms: &mut dyn FnMut(usize) -> f32) {
+        SharedModel::axpy_f32(self, a, x, uniforms);
+    }
+    #[inline]
+    fn axpy_sparse_fixed<D: FixedInt>(
+        &mut self,
+        a: f32,
+        values: &[D],
+        indices: &[u32],
+        x_spec: &FixedSpec,
+        offsets: &mut dyn FnMut(usize) -> i64,
+    ) {
+        SharedModel::axpy_sparse_fixed(self, a, values, indices, x_spec, offsets);
+    }
+    #[inline]
+    fn axpy_sparse_f32(
+        &mut self,
+        a: f32,
+        values: &[f32],
+        indices: &[u32],
+        uniforms: &mut dyn FnMut(usize) -> f32,
+    ) {
+        SharedModel::axpy_sparse_f32(self, a, values, indices, uniforms);
+    }
+}
+
+/// One dataset format as the worker loop sees it: its row type, the row's
+/// `numbers` count, its dot/AXPY call against any [`ModelStore`], and its
+/// mini-batch accumulator.
+#[doc(hidden)]
+pub trait Examples: Sync + Sized {
+    type Row<'r>: Copy
+    where
+        Self: 'r;
+    type Batch: Batch<Self> + Default;
+
+    fn examples(&self) -> usize;
+    fn example(&self, i: usize) -> (Self::Row<'_>, Label);
+    /// Dataset numbers one pass over `row` reads: `n` dense, `nnz` sparse.
+    fn numbers(&self, row: Self::Row<'_>) -> u64;
+    fn dot<M: ModelStore>(&self, model: &M, row: Self::Row<'_>) -> f32;
+    /// The single-example write `w ← w + a·row`, rounded with `rng`.
+    fn axpy<M: ModelStore>(&self, model: &mut M, a: f32, row: Self::Row<'_>, rng: &mut QuantState);
+}
+
+/// The dense formats' share of [`DenseBatch`]: how `a·row` adds into the
+/// `f32` mini-batch gradient.
+#[doc(hidden)]
+pub trait DenseExamples: Examples {
+    fn accumulate(&self, scratch: &mut [f32], row: Self::Row<'_>, a: f32);
+}
+
+/// A mini-batch accumulator: gradients are computed at the batch-start
+/// model and staged here, then written back in one flush.
+#[doc(hidden)]
+pub trait Batch<E: Examples> {
+    /// Stages example `i`; returns how many now count toward the batch.
+    fn stage(&mut self, data: &E, i: usize, row: E::Row<'_>, a: f32) -> usize;
+    /// Writes everything staged via [`WorkerCtx::write`]; empties the batch.
+    fn flush<M: ModelStore, R: Recorder, I: Injector, T: Tracer>(
+        &mut self,
+        data: &E,
+        model: &mut M,
+        worker: &mut WorkerCtx<'_, R, I, T>,
+    );
+}
+
+/// Dense mini-batches sum `a·x` into one `f32` vector (sized by the first
+/// staged row) and write it once. Every example counts toward the batch
+/// size, zero gradient or not, and the write is attempted even if every
+/// gradient in the batch was zero.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct DenseBatch {
+    scratch: Vec<f32>,
+    fill: usize,
+}
+
+impl<E: DenseExamples> Batch<E> for DenseBatch {
+    #[inline]
+    fn stage(&mut self, data: &E, _i: usize, row: E::Row<'_>, a: f32) -> usize {
+        if self.scratch.is_empty() {
+            self.scratch.resize(data.numbers(row) as usize, 0.0);
+        }
+        if a != 0.0 {
+            data.accumulate(&mut self.scratch, row, a);
+        }
+        self.fill += 1;
+        self.fill
+    }
+
+    fn flush<M: ModelStore, R: Recorder, I: Injector, T: Tracer>(
+        &mut self,
+        _data: &E,
+        model: &mut M,
+        worker: &mut WorkerCtx<'_, R, I, T>,
+    ) {
+        if self.fill > 0 {
+            worker.write(self.scratch.len() as u64, |rng| {
+                model.axpy_f32(1.0, &self.scratch, &mut |j| rng.uniform(j));
+            });
+            self.scratch.fill(0.0);
+            self.fill = 0;
+        }
+    }
+}
+
+/// Sparse mini-batches remember `(example, a)` and replay each scatter
+/// write at flush time: the model is written per example, but the
+/// gradient is a true mini-batch gradient. Only nonzero gradients count
+/// toward the batch size, and each pending write asks the injector anew.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct SparseBatch(Vec<(usize, f32)>);
+
+impl<E: Examples> Batch<E> for SparseBatch {
+    #[inline]
+    fn stage(&mut self, _data: &E, i: usize, _row: E::Row<'_>, a: f32) -> usize {
+        if a != 0.0 {
+            self.0.push((i, a));
+        }
+        self.0.len()
+    }
+
+    fn flush<M: ModelStore, R: Recorder, I: Injector, T: Tracer>(
+        &mut self,
+        data: &E,
+        model: &mut M,
+        worker: &mut WorkerCtx<'_, R, I, T>,
+    ) {
+        for &(i, a) in &self.0 {
+            let (row, _) = data.example(i);
+            worker.write(data.numbers(row), |rng| data.axpy(model, a, row, rng));
+        }
+        self.0.clear();
+    }
+}
+
+impl<D: FixedInt> Examples for Fixed<DenseDataset<D>> {
+    type Row<'r> = &'r [D];
+    type Batch = DenseBatch;
+
+    fn examples(&self) -> usize {
+        self.0.examples()
+    }
+    #[inline]
+    fn example(&self, i: usize) -> (&[D], Label) {
+        (self.0.example(i), self.0.label(i))
+    }
+    #[inline]
+    fn numbers(&self, x: &[D]) -> u64 {
+        x.len() as u64
+    }
+    #[inline]
+    fn dot<M: ModelStore>(&self, model: &M, x: &[D]) -> f32 {
+        model.dot_fixed(x, &self.0.spec())
+    }
+    #[inline]
+    fn axpy<M: ModelStore>(&self, model: &mut M, a: f32, x: &[D], rng: &mut QuantState) {
+        match rng.block_offsets() {
+            Some(offs) => model.axpy_fixed_block(a, x, &self.0.spec(), &offs),
+            None => model.axpy_fixed(a, x, &self.0.spec(), &mut |j| rng.offset15(j)),
+        }
+    }
+}
+
+impl<D: FixedInt> DenseExamples for Fixed<DenseDataset<D>> {
+    #[inline]
+    fn accumulate(&self, scratch: &mut [f32], x: &[D], a: f32) {
+        let qa = a * self.0.spec().quantum();
+        for (sj, xj) in scratch.iter_mut().zip(x) {
+            *sj += qa * xj.widen() as f32;
+        }
+    }
+}
+
+impl Examples for WeavedDense {
+    type Row<'r> = WeavedSlice<'r>;
+    type Batch = DenseBatch;
+
+    fn examples(&self) -> usize {
+        self.matrix.rows()
+    }
+    #[inline]
+    fn example(&self, i: usize) -> (WeavedSlice<'_>, Label) {
+        (self.matrix.row(i), self.labels[i])
+    }
+    #[inline]
+    fn numbers(&self, x: WeavedSlice<'_>) -> u64 {
+        x.len() as u64
+    }
+    #[inline]
+    fn dot<M: ModelStore>(&self, model: &M, x: WeavedSlice<'_>) -> f32 {
+        model.dot_weaved(x, x.spec().bits())
+    }
+    #[inline]
+    fn axpy<M: ModelStore>(&self, model: &mut M, a: f32, x: WeavedSlice<'_>, rng: &mut QuantState) {
+        let bits = x.spec().bits();
+        match rng.block_offsets() {
+            Some(offs) => model.axpy_weaved_block(a, x, bits, &offs),
+            None => model.axpy_weaved(a, x, bits, &mut |j| rng.offset15(j)),
+        }
+    }
+}
+
+impl DenseExamples for WeavedDense {
+    #[inline]
+    fn accumulate(&self, scratch: &mut [f32], x: WeavedSlice<'_>, a: f32) {
+        let qa = a * x.spec().quantum();
+        let mut decoded = [0i32; BLOCK];
+        for b in 0..x.blocks() {
+            let filled = x.decode_block(b, x.spec().bits(), &mut decoded);
+            let base = b * BLOCK;
+            for (j, &xv) in decoded[..filled].iter().enumerate() {
+                scratch[base + j] += qa * xv as f32;
+            }
+        }
+    }
+}
+
+impl Examples for DenseDataset<f32> {
+    type Row<'r> = &'r [f32];
+    type Batch = DenseBatch;
+
+    fn examples(&self) -> usize {
+        self.examples()
+    }
+    #[inline]
+    fn example(&self, i: usize) -> (&[f32], Label) {
+        (self.example(i), self.label(i))
+    }
+    #[inline]
+    fn numbers(&self, x: &[f32]) -> u64 {
+        x.len() as u64
+    }
+    #[inline]
+    fn dot<M: ModelStore>(&self, model: &M, x: &[f32]) -> f32 {
+        model.dot_f32(x)
+    }
+    #[inline]
+    fn axpy<M: ModelStore>(&self, model: &mut M, a: f32, x: &[f32], rng: &mut QuantState) {
+        model.axpy_f32(a, x, &mut |j| rng.uniform(j));
+    }
+}
+
+impl DenseExamples for DenseDataset<f32> {
+    #[inline]
+    fn accumulate(&self, scratch: &mut [f32], x: &[f32], a: f32) {
+        for (sj, &xj) in scratch.iter_mut().zip(x) {
+            *sj += a * xj;
+        }
+    }
+}
+
+impl<D: FixedInt> Examples for Fixed<SparseDataset<D, u32>> {
+    type Row<'r> = SparseExample<'r, D, u32>;
+    type Batch = SparseBatch;
+
+    fn examples(&self) -> usize {
+        self.0.examples()
+    }
+    #[inline]
+    fn example(&self, i: usize) -> (SparseExample<'_, D, u32>, Label) {
+        (self.0.example(i), self.0.label(i))
+    }
+    #[inline]
+    fn numbers(&self, ex: SparseExample<'_, D, u32>) -> u64 {
+        ex.nnz() as u64
+    }
+    #[inline]
+    fn dot<M: ModelStore>(&self, model: &M, ex: SparseExample<'_, D, u32>) -> f32 {
+        model.dot_sparse_fixed(ex.values, ex.indices, &self.0.spec())
+    }
+    #[inline]
+    fn axpy<M: ModelStore>(
+        &self,
+        model: &mut M,
+        a: f32,
+        ex: SparseExample<'_, D, u32>,
+        rng: &mut QuantState,
+    ) {
+        let mut off = |j: usize| rng.offset15(j);
+        model.axpy_sparse_fixed(a, ex.values, ex.indices, &self.0.spec(), &mut off);
+    }
+}
+
+impl Examples for SparseDataset<f32, u32> {
+    type Row<'r> = SparseExample<'r, f32, u32>;
+    type Batch = SparseBatch;
+
+    fn examples(&self) -> usize {
+        self.examples()
+    }
+    #[inline]
+    fn example(&self, i: usize) -> (SparseExample<'_, f32, u32>, Label) {
+        (self.example(i), self.label(i))
+    }
+    #[inline]
+    fn numbers(&self, ex: SparseExample<'_, f32, u32>) -> u64 {
+        ex.nnz() as u64
+    }
+    #[inline]
+    fn dot<M: ModelStore>(&self, model: &M, ex: SparseExample<'_, f32, u32>) -> f32 {
+        model.dot_sparse_f32(ex.values, ex.indices)
+    }
+    #[inline]
+    fn axpy<M: ModelStore>(
+        &self,
+        model: &mut M,
+        a: f32,
+        ex: SparseExample<'_, f32, u32>,
+        rng: &mut QuantState,
+    ) {
+        model.axpy_sparse_f32(a, ex.values, ex.indices, &mut |j| rng.uniform(j));
+    }
+}
+
+/// Chaos telemetry handles, created only for active injectors so that
+/// fault-free snapshots carry no zero-valued `chaos.*` entries.
+struct ChaosCounters<C, H> {
+    stalls: C,
+    dropped: C,
+    stall_ticks: H,
+}
+
+/// Everything one worker owns for one epoch besides the data and its
+/// [`ModelStore`]: the step, its slice of the examples, telemetry
+/// handles, rounding randomness, fault stream and span sink.
+#[doc(hidden)]
+pub struct WorkerCtx<'a, R: Recorder, I: Injector + 'a, T: Tracer> {
     loss: Loss,
     step: f32,
     minibatch: usize,
     worker: usize,
     threads: usize,
+    iterations: R::Counter,
+    numbers: R::Counter,
+    rounds: R::Counter,
+    chaos: Option<ChaosCounters<R::Counter, R::Histogram>>,
+    rng: QuantState,
+    inj: I::Worker<'a>,
+    tracer: T::Worker,
 }
 
-/// Chaos telemetry handles, created only for active injectors so that
-/// fault-free snapshots carry no zero-valued `chaos.*` entries.
-#[doc(hidden)]
-pub struct ChaosCounters<C, H> {
-    pub(crate) stalls: C,
-    pub(crate) dropped: C,
-    pub(crate) stall_ticks: H,
-}
-
-/// Telemetry handles a worker updates in its hot loop.
-#[doc(hidden)]
-pub struct WorkerCounters<C, H> {
-    pub(crate) iterations: C,
-    pub(crate) numbers: C,
-    pub(crate) rounds: C,
-    pub(crate) chaos: Option<ChaosCounters<C, H>>,
-}
-
-impl<C: Counter, H: Histogram> WorkerCounters<C, H> {
-    /// Executes an iteration fate: counts and serves a stall, reports
-    /// whether the iteration should run at all (`false` = crash).
+impl<R: Recorder, I: Injector, T: Tracer> WorkerCtx<'_, R, I, T> {
+    /// Draws and executes the next iteration's fate: counts and serves a
+    /// stall, reports whether the iteration should run (`false` = crash).
     #[inline]
-    pub(crate) fn serve_fate<T: WorkerTracer>(&self, fate: IterFate, tracer: &mut T) -> bool {
-        match fate {
+    fn serve_fate(&mut self) -> bool {
+        match self.inj.iter_fate() {
             IterFate::Proceed => true,
             IterFate::Stall(ticks) => {
                 if let Some(chaos) = &self.chaos {
                     chaos.stalls.incr();
                     chaos.stall_ticks.record(f64::from(ticks));
                 }
-                let span = tracer.begin();
+                let span = self.tracer.begin();
                 for _ in 0..ticks {
                     std::thread::yield_now();
                 }
-                tracer.end(Phase::ChaosFault, span, fault_kind::STALL);
+                self.tracer.end(Phase::ChaosFault, span, fault_kind::STALL);
                 true
             }
             IterFate::Crash(_) => false,
         }
     }
 
-    /// Counts a shared-model write the injector discarded.
+    /// One model write of `numbers` entries under the injector's verdict:
+    /// count the rounding events and run `axpy` inside a write span, or
+    /// count the drop.
     #[inline]
-    pub(crate) fn count_dropped(&self) {
-        if let Some(chaos) = &self.chaos {
+    fn write(&mut self, numbers: u64, axpy: impl FnOnce(&mut QuantState)) {
+        if self.inj.keep_write() {
+            self.rounds.add(numbers);
+            let span = self.tracer.begin();
+            axpy(&mut self.rng);
+            self.tracer.end(Phase::ModelWrite, span, numbers);
+        } else if let Some(chaos) = &self.chaos {
             chaos.dropped.incr();
         }
     }
 }
 
+/// One worker's share of one epoch — the SGD iteration, written once for
+/// every dataset format, model store, injector and tracer. Returns `true`
+/// if the injector crashed the worker mid-epoch.
+///
+/// The order of `QuantState` draws and injector calls is load-bearing:
+/// `tests/trajectory_pins.rs` hashes seeded runs against it.
+fn worker_loop<E: Examples, M: ModelStore, R: Recorder, I: Injector, T: Tracer>(
+    data: &E,
+    model: &mut M,
+    w: &mut WorkerCtx<'_, R, I, T>,
+) -> bool {
+    let mut batch = E::Batch::default();
+    for i in (w.worker..data.examples()).step_by(w.threads) {
+        if !w.serve_fate() {
+            return true;
+        }
+        let iter_span = w.tracer.begin();
+        let (x, y) = data.example(i);
+        let n = data.numbers(x);
+        w.rng.begin_iteration();
+        w.iterations.incr();
+        w.numbers.add(n);
+        let kernel_span = w.tracer.begin();
+        let dot = data.dot(model, x);
+        w.tracer.end(Phase::GradientKernel, kernel_span, n);
+        let a = w.loss.axpy_scale(dot, y, w.step);
+        if w.minibatch == 1 {
+            if a != 0.0 {
+                w.write(n, |rng| data.axpy(model, a, x, rng));
+            }
+        } else if batch.stage(data, i, x, a) >= w.minibatch {
+            batch.flush(data, model, w);
+        }
+        w.tracer.end(Phase::Minibatch, iter_span, i as u64);
+        model.tick(&mut w.tracer);
+    }
+    batch.flush(data, model, w);
+    model.flush(&mut w.tracer);
+    false
+}
+
 pub(crate) mod sealed {
-    use super::{Loss, QuantState, SgdConfig, WorkerCounters, WorkerCtx};
-    use crate::arena::LocalModel;
-    use crate::shard::{DeltaSync, ShardCtx};
-    use buckwild_chaos::WorkerInjector;
-    use buckwild_telemetry::{Counter, Histogram};
-    use buckwild_trace::WorkerTracer;
+    use super::{Injector, Loss, ModelStore, Recorder, SgdConfig, Tracer, WorkerCtx};
 
     /// The private engine interface behind [`super::TrainData`]. Not
     /// nameable outside this crate, which seals the public trait.
@@ -529,28 +1026,12 @@ pub(crate) mod sealed {
         fn examples(&self) -> usize;
         fn prepare<'a>(&'a self, config: &SgdConfig) -> Self::Prepared<'a>;
         fn model_features(&self) -> usize;
-        /// Runs one worker's shard of one epoch. Returns `true` if the
-        /// injector crashed the worker mid-epoch.
-        fn run_worker<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
+        /// Runs one worker's share of one epoch against `model`. Returns
+        /// `true` if the injector crashed the worker mid-epoch.
+        fn run_worker<M: ModelStore, R: Recorder, I: Injector, T: Tracer>(
             prepared: &Self::Prepared<'_>,
-            ctx: &WorkerCtx<'_>,
-            counters: &WorkerCounters<C, H>,
-            rng: &mut QuantState,
-            inj: &mut W,
-            tracer: &mut T,
-        ) -> bool;
-        /// Runs one worker's shard of one epoch on the shared-nothing
-        /// backend: a private replica plus the delta-exchange protocol.
-        #[allow(clippy::too_many_arguments)]
-        fn run_worker_sharded<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-            prepared: &Self::Prepared<'_>,
-            ctx: &ShardCtx,
-            local: &mut LocalModel<'_>,
-            sync: &mut DeltaSync<'_, C>,
-            counters: &WorkerCounters<C, H>,
-            rng: &mut QuantState,
-            inj: &mut W,
-            tracer: &mut T,
+            model: &mut M,
+            worker: &mut WorkerCtx<'_, R, I, T>,
         ) -> bool;
         fn mean_loss(&self, loss: Loss, model: &[f32]) -> f64;
     }
@@ -584,55 +1065,25 @@ impl sealed::Sealed for DenseDataset<f32> {
             (16, false) if config.kernel == KernelFlavor::BitSerial => DenseQuant::Weaved(
                 WeavedDense::build(&self.quantize_i16(FixedSpec::unit_range(16))),
             ),
-            (16, false) => DenseQuant::I16(self.quantize_i16(FixedSpec::unit_range(16))),
+            (16, false) => DenseQuant::I16(Fixed(self.quantize_i16(FixedSpec::unit_range(16)))),
             (8, false) if config.kernel == KernelFlavor::BitSerial => DenseQuant::Weaved(
                 WeavedDense::build(&self.quantize_i8(FixedSpec::unit_range(8))),
             ),
-            (8, false) => DenseQuant::I8(self.quantize_i8(FixedSpec::unit_range(8))),
+            (8, false) => DenseQuant::I8(Fixed(self.quantize_i8(FixedSpec::unit_range(8)))),
             _ => unreachable!("rejected by validate"),
         }
     }
 
-    fn run_worker<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
+    fn run_worker<M: ModelStore, R: Recorder, I: Injector, T: Tracer>(
         prepared: &DenseQuant<'_>,
-        ctx: &WorkerCtx<'_>,
-        counters: &WorkerCounters<C, H>,
-        rng: &mut QuantState,
-        inj: &mut W,
-        tracer: &mut T,
+        model: &mut M,
+        worker: &mut WorkerCtx<'_, R, I, T>,
     ) -> bool {
         match prepared {
-            DenseQuant::F32(d) => worker_dense_f32(ctx, d, counters, rng, inj, tracer),
-            DenseQuant::I16(d) => worker_dense_fixed(ctx, d, counters, rng, inj, tracer),
-            DenseQuant::I8(d) => worker_dense_fixed(ctx, d, counters, rng, inj, tracer),
-            DenseQuant::Weaved(d) => worker_dense_weaved(ctx, d, counters, rng, inj, tracer),
-        }
-    }
-
-    fn run_worker_sharded<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-        prepared: &DenseQuant<'_>,
-        ctx: &crate::shard::ShardCtx,
-        local: &mut crate::arena::LocalModel<'_>,
-        sync: &mut crate::shard::DeltaSync<'_, C>,
-        counters: &WorkerCounters<C, H>,
-        rng: &mut QuantState,
-        inj: &mut W,
-        tracer: &mut T,
-    ) -> bool {
-        use crate::shard;
-        match prepared {
-            DenseQuant::F32(d) => {
-                shard::worker_dense_f32(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
-            DenseQuant::I16(d) => {
-                shard::worker_dense_fixed(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
-            DenseQuant::I8(d) => {
-                shard::worker_dense_fixed(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
-            DenseQuant::Weaved(d) => {
-                shard::worker_dense_weaved(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
+            DenseQuant::F32(d) => worker_loop(*d, model, worker),
+            DenseQuant::I16(d) => worker_loop(d, model, worker),
+            DenseQuant::I8(d) => worker_loop(d, model, worker),
+            DenseQuant::Weaved(d) => worker_loop(d, model, worker),
         }
     }
 
@@ -658,56 +1109,29 @@ impl sealed::Sealed for SparseDataset<f32, u32> {
         let d = config.signature.dataset();
         match (d.bits(), d.is_float()) {
             (32, true) => SparseQuant::F32(self),
-            (16, false) => SparseQuant::I16(self.requantize(
+            (16, false) => SparseQuant::I16(Fixed(self.requantize(
                 FixedSpec::unit_range(16),
                 Rounding::Biased,
                 config.seed,
-            )),
-            (8, false) => SparseQuant::I8(self.requantize(
+            ))),
+            (8, false) => SparseQuant::I8(Fixed(self.requantize(
                 FixedSpec::unit_range(8),
                 Rounding::Biased,
                 config.seed,
-            )),
+            ))),
             _ => unreachable!("rejected by validate"),
         }
     }
 
-    fn run_worker<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
+    fn run_worker<M: ModelStore, R: Recorder, I: Injector, T: Tracer>(
         prepared: &SparseQuant<'_>,
-        ctx: &WorkerCtx<'_>,
-        counters: &WorkerCounters<C, H>,
-        rng: &mut QuantState,
-        inj: &mut W,
-        tracer: &mut T,
+        model: &mut M,
+        worker: &mut WorkerCtx<'_, R, I, T>,
     ) -> bool {
         match prepared {
-            SparseQuant::F32(d) => worker_sparse_f32(ctx, d, counters, rng, inj, tracer),
-            SparseQuant::I16(d) => worker_sparse_fixed(ctx, d, counters, rng, inj, tracer),
-            SparseQuant::I8(d) => worker_sparse_fixed(ctx, d, counters, rng, inj, tracer),
-        }
-    }
-
-    fn run_worker_sharded<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-        prepared: &SparseQuant<'_>,
-        ctx: &crate::shard::ShardCtx,
-        local: &mut crate::arena::LocalModel<'_>,
-        sync: &mut crate::shard::DeltaSync<'_, C>,
-        counters: &WorkerCounters<C, H>,
-        rng: &mut QuantState,
-        inj: &mut W,
-        tracer: &mut T,
-    ) -> bool {
-        use crate::shard;
-        match prepared {
-            SparseQuant::F32(d) => {
-                shard::worker_sparse_f32(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
-            SparseQuant::I16(d) => {
-                shard::worker_sparse_fixed(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
-            SparseQuant::I8(d) => {
-                shard::worker_sparse_fixed(ctx, d, local, sync, counters, rng, inj, tracer)
-            }
+            SparseQuant::F32(d) => worker_loop(*d, model, worker),
+            SparseQuant::I16(d) => worker_loop(d, model, worker),
+            SparseQuant::I8(d) => worker_loop(d, model, worker),
         }
     }
 
@@ -718,6 +1142,46 @@ impl sealed::Sealed for SparseDataset<f32, u32> {
 
 impl TrainData for SparseDataset<f32, u32> {}
 
+/// The five things the epoch driver needs from a training backend; the
+/// rest of an epoch is the same code on both. Implemented by
+/// [`SharedModel`] itself and by [`ShardedState`].
+pub(crate) trait BackendState<R: Recorder> {
+    /// One worker's handle on the model for one epoch.
+    type Store<'a>: ModelStore + Send
+    where
+        Self: 'a;
+
+    /// Hands out one store per worker for the coming epoch.
+    fn stores(&mut self, threads: usize, recorder: &R) -> Vec<Self::Store<'_>>;
+    /// Everything a rollback needs, as `f32`.
+    fn checkpoint(&self) -> Vec<f32> {
+        self.snapshot()
+    }
+    /// Rolls back to a [`BackendState::checkpoint`].
+    fn restore(&mut self, checkpoint: &[f32]);
+    /// The model consumers see, in its storage representation.
+    fn snapshot_quantized(&self) -> QuantizedModel;
+    /// The model the run reports and evaluates, dequantized.
+    fn snapshot(&self) -> Vec<f32>;
+}
+
+impl<R: Recorder> BackendState<R> for SharedModel {
+    type Store<'a> = &'a SharedModel;
+
+    fn stores(&mut self, threads: usize, _recorder: &R) -> Vec<&SharedModel> {
+        vec![&*self; threads]
+    }
+    fn restore(&mut self, checkpoint: &[f32]) {
+        self.restore_from(checkpoint);
+    }
+    fn snapshot_quantized(&self) -> QuantizedModel {
+        SharedModel::snapshot_quantized(self)
+    }
+    fn snapshot(&self) -> Vec<f32> {
+        SharedModel::snapshot(self)
+    }
+}
+
 impl SgdConfig {
     /// Trains on any [`TrainData`] dataset, quantizing it to the
     /// signature's dataset precision first.
@@ -725,7 +1189,7 @@ impl SgdConfig {
     /// Collects telemetry with a sharded recorder (one shard per worker)
     /// and builds the report's efficiency metrics from the snapshot. To
     /// supply your own recorder — or to opt out of measurement entirely
-    /// with `NoopRecorder` — use [`SgdConfig::train_with`].
+    /// with `NoopRecorder` — use [`SgdConfig::train_traced`].
     ///
     /// # Errors
     ///
@@ -733,26 +1197,7 @@ impl SgdConfig {
     /// [`TrainError::EmptyDataset`] for empty input.
     pub fn train<D: TrainData>(&self, data: &D) -> Result<TrainReport, TrainError> {
         let recorder = ShardedRecorder::new(self.threads.max(1));
-        self.train_with(data, &recorder)
-    }
-
-    /// Trains like [`SgdConfig::train`], but records telemetry through the
-    /// given [`Recorder`].
-    ///
-    /// With `NoopRecorder`, every instrumentation point monomorphizes away
-    /// and the report's efficiency metrics read zero (the model and
-    /// per-epoch losses are unaffected).
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::Config`] for invalid configurations,
-    /// [`TrainError::EmptyDataset`] for empty input.
-    pub fn train_with<D: TrainData, R: Recorder>(
-        &self,
-        data: &D,
-        recorder: &R,
-    ) -> Result<TrainReport, TrainError> {
-        self.train_injected(data, recorder, &NoopInjector)
+        self.train_traced(data, &recorder, &NoopInjector, &NoopTracer)
     }
 
     /// Trains under a seeded [`FaultPlan`], collecting telemetry with a
@@ -779,38 +1224,21 @@ impl SgdConfig {
     ) -> Result<TrainReport, TrainError> {
         let injector = PlanInjector::new(plan.clone())?;
         let recorder = ShardedRecorder::new(self.threads.max(1));
-        self.train_injected(data, &recorder, &injector)
+        self.train_traced(data, &recorder, &injector, &NoopTracer)
     }
 
-    /// Trains like [`SgdConfig::train_with`], threading every iteration
-    /// and shared-model write through the given [`Injector`].
+    /// The fully general entry point: records telemetry through the given
+    /// [`Recorder`], threads every iteration and model write through the
+    /// given [`Injector`], and records span timelines through the given
+    /// [`Tracer`].
     ///
-    /// This is the fully general entry point; [`SgdConfig::train_with`]
-    /// is this with [`NoopInjector`] (whose hooks compile away), and
-    /// [`SgdConfig::train_with_faults`] is this with a
-    /// [`PlanInjector`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SgdConfig::train`].
-    pub fn train_injected<D: TrainData, R: Recorder, I: Injector>(
-        &self,
-        data: &D,
-        recorder: &R,
-        injector: &I,
-    ) -> Result<TrainReport, TrainError> {
-        self.train_traced(data, recorder, injector, &NoopTracer)
-    }
-
-    /// The fully general entry point: trains like
-    /// [`SgdConfig::train_injected`] while recording span timelines
-    /// through the given [`Tracer`].
-    ///
-    /// Workers mark minibatch / gradient-kernel / model-write / stall
-    /// spans; the driver thread marks one epoch span per epoch (on
-    /// timeline row `threads`) and a recovery span per checkpoint
-    /// rollback. With [`NoopTracer`] — how every other entry point calls
-    /// this — all instrumentation monomorphizes away.
+    /// With `NoopRecorder`, [`NoopInjector`] or [`NoopTracer`] the
+    /// corresponding instrumentation monomorphizes away (a `NoopRecorder`
+    /// run reports zero efficiency metrics; the model and per-epoch
+    /// losses are unaffected). Workers mark minibatch / gradient-kernel /
+    /// model-write / stall spans; the driver thread marks one epoch span
+    /// per epoch (on timeline row `threads`) and a recovery span per
+    /// checkpoint rollback.
     ///
     /// # Errors
     ///
@@ -826,9 +1254,6 @@ impl SgdConfig {
         if sealed::Sealed::examples(data) == 0 {
             return Err(TrainError::EmptyDataset);
         }
-        if self.backend == Backend::ShardedDelta {
-            return crate::shard::train_sharded(self, data, recorder, injector, tracer);
-        }
         let precision = ModelPrecision::from_signature(&self.signature).expect("validated above");
         let weave_before = weave::encodes();
         let prepared = data.prepare(self);
@@ -836,8 +1261,39 @@ impl SgdConfig {
         if weave_delta > 0 {
             recorder.counter(metric::WEAVE_ENCODES).add(weave_delta);
         }
+        let n = data.model_features();
+        Ok(match self.backend {
+            Backend::SharedModel => {
+                let model = SharedModel::zeros(precision, n);
+                self.run_epochs(data, &prepared, model, recorder, injector, tracer)
+            }
+            Backend::ShardedDelta => {
+                let state = ShardedState::new(self, precision, n);
+                self.run_epochs(data, &prepared, state, recorder, injector, tracer)
+            }
+        })
+    }
+
+    /// The epoch driver, once for both backends: spawn → barrier → timed
+    /// join → crash/rollback → snapshot publish → loss eval → observer →
+    /// checkpoint, then the GNPS gauge and the report.
+    fn run_epochs<D, B, R, I, T>(
+        &self,
+        data: &D,
+        prepared: &D::Prepared<'_>,
+        mut backend: B,
+        recorder: &R,
+        injector: &I,
+        tracer: &T,
+    ) -> TrainReport
+    where
+        D: TrainData,
+        B: BackendState<R>,
+        R: Recorder,
+        I: Injector,
+        T: Tracer,
+    {
         let m = sealed::Sealed::examples(data);
-        let model = SharedModel::zeros(precision, data.model_features());
         let mut epoch_losses = Vec::new();
         let epoch_seconds = recorder.histogram(metric::EPOCH_SECONDS);
         let publish_ns = self
@@ -850,7 +1306,7 @@ impl SgdConfig {
         // worker dies. PlanInjector consumes each crash on first fire, so a
         // replayed epoch runs through.
         let checkpoint_every = injector.checkpoint_epochs();
-        let mut checkpoint: Option<Vec<f32>> = checkpoint_every.map(|_| model.snapshot());
+        let mut checkpoint: Option<Vec<f32>> = checkpoint_every.map(|_| backend.checkpoint());
         let mut clean_epochs = 0u32;
         let recovery = if I::ACTIVE {
             Some((
@@ -874,26 +1330,17 @@ impl SgdConfig {
             // starts the clock only after the release — thread spawn/join
             // overhead stays out of the throughput measurement.
             let barrier = std::sync::Barrier::new(self.threads + 1);
+            let stores = backend.stores(self.threads, recorder);
             std::thread::scope(|s| {
                 let mut handles = Vec::with_capacity(self.threads);
-                for t in 0..self.threads {
-                    let prepared = &prepared;
-                    let model = &model;
+                for (t, mut store) in stores.into_iter().enumerate() {
                     let barrier = &barrier;
-                    let mut rng = QuantState::new(
-                        &self.quantizer,
-                        self.rounding,
-                        split_seed(self.seed, (epoch * self.threads + t) as u64 + 1),
-                    );
-                    let ctx = WorkerCtx {
-                        model,
+                    let mut worker: WorkerCtx<'_, R, I, T> = WorkerCtx {
                         loss: self.loss,
                         step,
                         minibatch: self.minibatch,
                         worker: t,
                         threads: self.threads,
-                    };
-                    let counters = WorkerCounters {
                         iterations: recorder.worker_counter(metric::ITERATIONS, t),
                         numbers: recorder.worker_counter(metric::NUMBERS_PROCESSED, t),
                         rounds: recorder.worker_counter(metric::ROUND_EVENTS, t),
@@ -902,12 +1349,18 @@ impl SgdConfig {
                             dropped: recorder.worker_counter(chaos_metric::DROPPED_WRITES, t),
                             stall_ticks: recorder.worker_histogram(chaos_metric::STALL_TICKS, t),
                         }),
+                        rng: QuantState::new(
+                            &self.quantizer,
+                            self.rounding,
+                            split_seed(self.seed, (epoch * self.threads + t) as u64 + 1),
+                        ),
+                        inj: injector.worker(t, epoch),
+                        tracer: tracer.worker(t),
                     };
-                    let mut inj = injector.worker(t, epoch);
-                    let mut wtracer = tracer.worker(t);
                     handles.push(s.spawn(move || {
+                        store.attach();
                         barrier.wait();
-                        D::run_worker(prepared, &ctx, &counters, &mut rng, &mut inj, &mut wtracer)
+                        D::run_worker(prepared, &mut store, &mut worker)
                     }));
                 }
                 barrier.wait();
@@ -931,7 +1384,7 @@ impl SgdConfig {
                             replayed.add(m as u64);
                         }
                         let recovery_span = driver.begin();
-                        model.restore_from(ckpt);
+                        backend.restore(ckpt);
                         driver.end(Phase::ChaosFault, recovery_span, fault_kind::RECOVERY);
                         continue;
                     }
@@ -946,12 +1399,12 @@ impl SgdConfig {
                 let publish_start = Instant::now();
                 publish(EpochSnapshot {
                     epoch: epoch as u64,
-                    model: std::sync::Arc::new(model.snapshot_quantized()),
+                    model: std::sync::Arc::new(backend.snapshot_quantized()),
                 });
                 publish_ns.add(publish_start.elapsed().as_nanos() as u64);
             }
             let loss = if self.record_losses {
-                let l = data.mean_loss(self.loss, &model.snapshot());
+                let l = data.mean_loss(self.loss, &backend.snapshot());
                 epoch_losses.push(l);
                 Some(l)
             } else {
@@ -973,7 +1426,7 @@ impl SgdConfig {
             if let Some(every) = checkpoint_every {
                 clean_epochs += 1;
                 if clean_epochs >= every.get() {
-                    checkpoint = Some(model.snapshot());
+                    checkpoint = Some(backend.checkpoint());
                     clean_epochs = 0;
                 }
             }
@@ -989,426 +1442,8 @@ impl SgdConfig {
                 .gauge(metric::GNPS)
                 .set(numbers as f64 / wall.max(1e-12) / 1e9);
         }
-        Ok(TrainReport {
-            model: model.snapshot(),
-            epoch_losses,
-            metrics: recorder.snapshot(),
-        })
+        TrainReport::from_parts(backend.snapshot(), epoch_losses, recorder.snapshot())
     }
-}
-
-fn worker_dense_fixed<D: FixedInt, C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-    ctx: &WorkerCtx<'_>,
-    data: &DenseDataset<D>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let x_spec = data.spec();
-    let n = data.features();
-    let mut scratch = if ctx.minibatch > 1 {
-        vec![0f32; n]
-    } else {
-        Vec::new()
-    };
-    let mut batch_fill = 0usize;
-    for i in (ctx.worker..data.examples()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let x = data.example(i);
-        let y = data.label(i);
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(n as u64);
-        let kernel_span = tracer.begin();
-        let dot = ctx.model.dot_fixed(x, &x_spec);
-        tracer.end(Phase::GradientKernel, kernel_span, n as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    match rng.block_offsets() {
-                        Some(offs) => ctx.model.axpy_fixed_block(a, x, &x_spec, &offs),
-                        None => {
-                            let mut off = |j: usize| rng.offset15(j);
-                            ctx.model.axpy_fixed(a, x, &x_spec, &mut off);
-                        }
-                    }
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                let qa = a * x_spec.quantum();
-                for (sj, xj) in scratch.iter_mut().zip(x) {
-                    *sj += qa * xj.widen() as f32;
-                }
-            }
-            batch_fill += 1;
-            if batch_fill == ctx.minibatch {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    ctx.model.axpy_f32(1.0, &scratch, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-                scratch.fill(0.0);
-                batch_fill = 0;
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-    }
-    if batch_fill > 0 {
-        if inj.keep_write() {
-            counters.rounds.add(n as u64);
-            let write_span = tracer.begin();
-            let mut uni = |j: usize| rng.uniform(j);
-            ctx.model.axpy_f32(1.0, &scratch, &mut uni);
-            tracer.end(Phase::ModelWrite, write_span, n as u64);
-        } else {
-            counters.count_dropped();
-        }
-    }
-    false
-}
-
-fn worker_dense_weaved<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-    ctx: &WorkerCtx<'_>,
-    data: &WeavedDense,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let x_spec = *data.matrix.spec();
-    let bits = x_spec.bits();
-    let n = data.matrix.features();
-    let mut scratch = if ctx.minibatch > 1 {
-        vec![0f32; n]
-    } else {
-        Vec::new()
-    };
-    let mut decoded = [0i32; BLOCK];
-    let mut batch_fill = 0usize;
-    for i in (ctx.worker..data.matrix.rows()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let x = data.matrix.row(i);
-        let y = data.labels[i];
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(n as u64);
-        let kernel_span = tracer.begin();
-        let dot = ctx.model.dot_weaved(x, bits);
-        tracer.end(Phase::GradientKernel, kernel_span, n as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    match rng.block_offsets() {
-                        Some(offs) => ctx.model.axpy_weaved_block(a, x, bits, &offs),
-                        None => {
-                            let mut off = |j: usize| rng.offset15(j);
-                            ctx.model.axpy_weaved(a, x, bits, &mut off);
-                        }
-                    }
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                let qa = a * x_spec.quantum();
-                for b in 0..x.blocks() {
-                    let filled = x.decode_block(b, bits, &mut decoded);
-                    let base = b * BLOCK;
-                    for (j, &xv) in decoded[..filled].iter().enumerate() {
-                        scratch[base + j] += qa * xv as f32;
-                    }
-                }
-            }
-            batch_fill += 1;
-            if batch_fill == ctx.minibatch {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    ctx.model.axpy_f32(1.0, &scratch, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-                scratch.fill(0.0);
-                batch_fill = 0;
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-    }
-    if batch_fill > 0 {
-        if inj.keep_write() {
-            counters.rounds.add(n as u64);
-            let write_span = tracer.begin();
-            let mut uni = |j: usize| rng.uniform(j);
-            ctx.model.axpy_f32(1.0, &scratch, &mut uni);
-            tracer.end(Phase::ModelWrite, write_span, n as u64);
-        } else {
-            counters.count_dropped();
-        }
-    }
-    false
-}
-
-fn worker_dense_f32<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-    ctx: &WorkerCtx<'_>,
-    data: &DenseDataset<f32>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let n = data.features();
-    let mut scratch = if ctx.minibatch > 1 {
-        vec![0f32; n]
-    } else {
-        Vec::new()
-    };
-    let mut batch_fill = 0usize;
-    for i in (ctx.worker..data.examples()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let x = data.example(i);
-        let y = data.label(i);
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(n as u64);
-        let kernel_span = tracer.begin();
-        let dot = ctx.model.dot_f32(x);
-        tracer.end(Phase::GradientKernel, kernel_span, n as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    ctx.model.axpy_f32(a, x, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                for (sj, &xj) in scratch.iter_mut().zip(x) {
-                    *sj += a * xj;
-                }
-            }
-            batch_fill += 1;
-            if batch_fill == ctx.minibatch {
-                if inj.keep_write() {
-                    counters.rounds.add(n as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    ctx.model.axpy_f32(1.0, &scratch, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, n as u64);
-                } else {
-                    counters.count_dropped();
-                }
-                scratch.fill(0.0);
-                batch_fill = 0;
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-    }
-    if batch_fill > 0 {
-        if inj.keep_write() {
-            counters.rounds.add(n as u64);
-            let write_span = tracer.begin();
-            let mut uni = |j: usize| rng.uniform(j);
-            ctx.model.axpy_f32(1.0, &scratch, &mut uni);
-            tracer.end(Phase::ModelWrite, write_span, n as u64);
-        } else {
-            counters.count_dropped();
-        }
-    }
-    false
-}
-
-fn worker_sparse_fixed<
-    D: FixedInt,
-    C: Counter,
-    H: Histogram,
-    W: WorkerInjector,
-    T: WorkerTracer,
->(
-    ctx: &WorkerCtx<'_>,
-    data: &SparseDataset<D, u32>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let x_spec = data.spec();
-    // Mini-batch handling for sparse data: gradients are computed at the
-    // batch-start model, then all scatter writes are applied. The model is
-    // written per example, but the gradient is a true mini-batch gradient.
-    let mut pending: Vec<(usize, f32)> = Vec::new();
-    for i in (ctx.worker..data.examples()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let ex = data.example(i);
-        let y = data.label(i);
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(ex.nnz() as u64);
-        let kernel_span = tracer.begin();
-        let dot = ctx.model.dot_sparse_fixed(ex.values, ex.indices, &x_spec);
-        tracer.end(Phase::GradientKernel, kernel_span, ex.nnz() as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(ex.nnz() as u64);
-                    let write_span = tracer.begin();
-                    let mut off = |j: usize| rng.offset15(j);
-                    ctx.model
-                        .axpy_sparse_fixed(a, ex.values, ex.indices, &x_spec, &mut off);
-                    tracer.end(Phase::ModelWrite, write_span, ex.nnz() as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                pending.push((i, a));
-            }
-            if pending.len() >= ctx.minibatch {
-                for &(pi, pa) in &pending {
-                    if !inj.keep_write() {
-                        counters.count_dropped();
-                        continue;
-                    }
-                    let pex = data.example(pi);
-                    counters.rounds.add(pex.nnz() as u64);
-                    let write_span = tracer.begin();
-                    let mut off = |j: usize| rng.offset15(j);
-                    ctx.model
-                        .axpy_sparse_fixed(pa, pex.values, pex.indices, &x_spec, &mut off);
-                    tracer.end(Phase::ModelWrite, write_span, pex.nnz() as u64);
-                }
-                pending.clear();
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-    }
-    for &(pi, pa) in &pending {
-        if !inj.keep_write() {
-            counters.count_dropped();
-            continue;
-        }
-        let pex = data.example(pi);
-        counters.rounds.add(pex.nnz() as u64);
-        let write_span = tracer.begin();
-        let mut off = |j: usize| rng.offset15(j);
-        ctx.model
-            .axpy_sparse_fixed(pa, pex.values, pex.indices, &x_spec, &mut off);
-        tracer.end(Phase::ModelWrite, write_span, pex.nnz() as u64);
-    }
-    false
-}
-
-fn worker_sparse_f32<C: Counter, H: Histogram, W: WorkerInjector, T: WorkerTracer>(
-    ctx: &WorkerCtx<'_>,
-    data: &SparseDataset<f32, u32>,
-    counters: &WorkerCounters<C, H>,
-    rng: &mut QuantState,
-    inj: &mut W,
-    tracer: &mut T,
-) -> bool {
-    let mut pending: Vec<(usize, f32)> = Vec::new();
-    for i in (ctx.worker..data.examples()).step_by(ctx.threads) {
-        if !counters.serve_fate(inj.iter_fate(), tracer) {
-            return true;
-        }
-        let iter_span = tracer.begin();
-        let ex = data.example(i);
-        let y = data.label(i);
-        rng.begin_iteration();
-        counters.iterations.incr();
-        counters.numbers.add(ex.nnz() as u64);
-        let kernel_span = tracer.begin();
-        let dot = ctx.model.dot_sparse_f32(ex.values, ex.indices);
-        tracer.end(Phase::GradientKernel, kernel_span, ex.nnz() as u64);
-        let a = ctx.loss.axpy_scale(dot, y, ctx.step);
-        if ctx.minibatch == 1 {
-            if a != 0.0 {
-                if inj.keep_write() {
-                    counters.rounds.add(ex.nnz() as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    ctx.model
-                        .axpy_sparse_f32(a, ex.values, ex.indices, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, ex.nnz() as u64);
-                } else {
-                    counters.count_dropped();
-                }
-            }
-        } else {
-            if a != 0.0 {
-                pending.push((i, a));
-            }
-            if pending.len() >= ctx.minibatch {
-                for &(pi, pa) in &pending {
-                    if !inj.keep_write() {
-                        counters.count_dropped();
-                        continue;
-                    }
-                    let pex = data.example(pi);
-                    counters.rounds.add(pex.nnz() as u64);
-                    let write_span = tracer.begin();
-                    let mut uni = |j: usize| rng.uniform(j);
-                    ctx.model
-                        .axpy_sparse_f32(pa, pex.values, pex.indices, &mut uni);
-                    tracer.end(Phase::ModelWrite, write_span, pex.nnz() as u64);
-                }
-                pending.clear();
-            }
-        }
-        tracer.end(Phase::Minibatch, iter_span, i as u64);
-    }
-    for &(pi, pa) in &pending {
-        if !inj.keep_write() {
-            counters.count_dropped();
-            continue;
-        }
-        let pex = data.example(pi);
-        counters.rounds.add(pex.nnz() as u64);
-        let write_span = tracer.begin();
-        let mut uni = |j: usize| rng.uniform(j);
-        ctx.model
-            .axpy_sparse_f32(pa, pex.values, pex.indices, &mut uni);
-        tracer.end(Phase::ModelWrite, write_span, pex.nnz() as u64);
-    }
-    false
 }
 
 #[cfg(test)]
@@ -1641,7 +1676,7 @@ mod tests {
         let p = generate::logistic_dense(32, 400, 5);
         let instrumented = logistic_config().train(&p.data).unwrap();
         let silent = logistic_config()
-            .train_with(&p.data, &NoopRecorder)
+            .train_traced(&p.data, &NoopRecorder, &NoopInjector, &NoopTracer)
             .unwrap();
         // Same training result either way...
         assert_eq!(silent.model(), instrumented.model());
@@ -1685,7 +1720,9 @@ mod tests {
         use buckwild_trace::RingTracer;
         let p = generate::logistic_dense(32, 200, 16);
         let config = logistic_config().signature("D8M8".parse().unwrap());
-        let plain = config.train_with(&p.data, &NoopRecorder).unwrap();
+        let plain = config
+            .train_traced(&p.data, &NoopRecorder, &NoopInjector, &NoopTracer)
+            .unwrap();
         let tracer = RingTracer::new();
         let traced = config
             .train_traced(&p.data, &NoopRecorder, &NoopInjector, &tracer)

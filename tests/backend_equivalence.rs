@@ -9,6 +9,8 @@
 //! compose with the new backend, and the delta-exchange telemetry must
 //! appear exactly when more than one worker is running.
 
+use std::sync::{Arc, Mutex};
+
 use buckwild::prelude::*;
 use buckwild::{metric, Backend};
 use buckwild_dataset::generate;
@@ -204,6 +206,92 @@ fn sharded_traced_run_captures_delta_sync_phase() {
         trace.events().iter().any(|s| s.phase == Phase::DeltaSync),
         "the exchange protocol must appear in the timeline"
     );
+}
+
+/// Logs every completed span as `(timeline row, phase, arg)` in completion
+/// order — no clock, so the log is a pure function of the schedule.
+#[derive(Default)]
+struct OrderTracer(Arc<Mutex<Vec<(usize, Phase, u64)>>>);
+
+struct OrderWorker {
+    row: usize,
+    log: Arc<Mutex<Vec<(usize, Phase, u64)>>>,
+}
+
+impl Tracer for OrderTracer {
+    type Worker = OrderWorker;
+    const ACTIVE: bool = true;
+
+    fn worker(&self, row: usize) -> OrderWorker {
+        OrderWorker {
+            row,
+            log: Arc::clone(&self.0),
+        }
+    }
+}
+
+impl WorkerTracer for OrderWorker {
+    const ACTIVE: bool = true;
+
+    fn now(&self) -> u64 {
+        0
+    }
+
+    fn record(&mut self, phase: Phase, _start: u64, _dur: u64, arg: u64) {
+        self.log.lock().unwrap().push((self.row, phase, arg));
+    }
+
+    fn set_time(&mut self, _time: u64) {}
+}
+
+fn span_shape<D: TrainData>(config: &SgdConfig, data: &D) -> Vec<(usize, Phase, u64)> {
+    let tracer = OrderTracer::default();
+    config
+        .train_traced(
+            data,
+            &buckwild_telemetry::NoopRecorder,
+            &NoopInjector,
+            &tracer,
+        )
+        .unwrap();
+    let log = std::mem::take(&mut *tracer.0.lock().unwrap());
+    log.into_iter()
+        .filter(|&(_, phase, _)| phase != Phase::DeltaSync)
+        .collect()
+}
+
+#[test]
+fn one_worker_span_shape_is_identical_across_backends() {
+    // The tracer contract the observability plane and the benchmark's
+    // `--trace 1` ledger read: same phases, same arguments, same order.
+    let dense = generate::logistic_dense(32, 120, 5);
+    let sparse = generate::logistic_sparse(64, 120, 0.2, 5);
+    for minibatch in [1, 8] {
+        let config = base(Loss::Logistic)
+            .signature("D8M8".parse().unwrap())
+            .minibatch(minibatch)
+            .epochs(2)
+            .threads(1);
+        let sharded = config.clone().backend(Backend::ShardedDelta);
+        let shape = span_shape(&config, &dense.data);
+        assert!(
+            shape.iter().any(|&(_, p, _)| p == Phase::ModelWrite)
+                && shape
+                    .iter()
+                    .any(|&(row, p, _)| row == 1 && p == Phase::Epoch),
+            "worker and driver rows are both traced"
+        );
+        assert_eq!(
+            shape,
+            span_shape(&sharded, &dense.data),
+            "dense minibatch={minibatch}"
+        );
+        assert_eq!(
+            span_shape(&config, &sparse.data),
+            span_shape(&sharded, &sparse.data),
+            "sparse minibatch={minibatch}"
+        );
+    }
 }
 
 #[test]
