@@ -230,11 +230,11 @@ enum LocalStore<'a> {
 /// One worker's private model replica: [`SharedModel`](crate::SharedModel)
 /// arithmetic on plain (single-owner) storage.
 ///
-/// Every dot/AXPY below is a line-for-line transcription of the shared
-/// version with the relaxed atomic load/store pairs replaced by plain
-/// reads and writes — same widening, same `K_SHIFT = 15` fixed-point
-/// step scaling, same saturation bounds, same `f64` float-grid rounding.
-/// The backend-equivalence tests pin this down bit-for-bit.
+/// The worker loop reaches these dot/AXPY methods through the same
+/// `ModelStore` calls as the shared model's. Their arithmetic still
+/// repeats the shared version's with plain reads and writes for the
+/// relaxed atomics (ROADMAP 1(c) is to fold the two together); the
+/// backend-equivalence tests pin the two bit-for-bit.
 pub struct LocalModel<'a> {
     store: LocalStore<'a>,
     spec: FixedSpec,
