@@ -6,8 +6,7 @@
 //!
 //! * **kernel** rows — single-thread dense and sparse SGD iteration
 //!   throughput per DMGC signature, via the same drivers the figure
-//!   binaries use ([`measure_dense_t1`](crate::measure_dense_t1) /
-//!   [`measure_sparse_t1`](crate::measure_sparse_t1));
+//!   binaries use ([`measure_dense_t1`] / [`measure_sparse_t1`]);
 //! * **train** rows — end-to-end multi-worker training GNPS for **both
 //!   backends** (shared-model and sharded-delta) on the same seeded
 //!   problem.

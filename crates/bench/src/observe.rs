@@ -155,7 +155,7 @@ fn simulated_coherence_cycles(signature: &Signature) -> f64 {
 }
 
 /// Side-by-side model and measurement of the two training backends on the
-/// reference dense D8M8 problem at [`BACKEND_CORES`] workers: the
+/// reference dense D8M8 problem at `BACKEND_CORES` workers: the
 /// shared-model (Hogwild!) layout against the shard-per-core delta-ring
 /// layout. Coherence is modeled by the cache simulator; throughput is
 /// measured from traced kernel spans of real multi-worker runs.

@@ -177,7 +177,7 @@ impl ServeLoadReport {
 /// # Panics
 ///
 /// Panics if the server cannot bind, training fails, or no snapshot is
-/// published within [`FIRST_SNAPSHOT_TIMEOUT`].
+/// published within `FIRST_SNAPSHOT_TIMEOUT` (30 s).
 #[must_use]
 pub fn run_serve_load(opts: &ServeLoadOptions) -> ServeLoadReport {
     let hub = Arc::new(SnapshotHub::new());

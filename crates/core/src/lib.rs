@@ -55,7 +55,7 @@
 //! Observability: the `buckwild-trace` crate defines zero-cost span
 //! tracing on the same monomorphization discipline as the telemetry
 //! recorder. The `*_traced` entry points ([`SgdConfig::train_traced`],
-//! [`ChaosSgdConfig::train_traced`], [`SyncSgdConfig::train_traced`])
+//! [`ChaosSgdConfig::train_traced`], [`sync::SyncSgdConfig::train_traced`])
 //! record per-worker epoch/minibatch/kernel/write/fault timelines into a
 //! [`RingTracer`], exportable as Chrome trace-event JSON
 //! (chrome://tracing, Perfetto) or a flamegraph-style self-time summary.
@@ -91,6 +91,7 @@ pub mod ring;
 mod shard;
 pub mod sync;
 mod train;
+mod words;
 
 pub use chaos::{ChaosReport, ChaosSgdConfig};
 pub use config::{

@@ -10,14 +10,18 @@
 //! store) is preserved because we deliberately use separate load/store
 //! pairs rather than `fetch_add`.
 
-use std::sync::atomic::{AtomicI16, AtomicI8, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicI16, AtomicI8, AtomicU32};
 
 use buckwild_dmgc::Signature;
 use buckwild_fixed::FixedSpec;
 use buckwild_kernels::optimized::FixedInt;
-use buckwild_kernels::weave::{WeavedSlice, BLOCK};
+use buckwild_kernels::weave::WeavedSlice;
 
-use crate::predict::{FixedWords, QuantizedModel};
+use crate::predict::QuantizedModel;
+use crate::words::{
+    AxpyF32, AxpyFixed, AxpySparseF32, AxpySparseFixed, AxpyWeaved, DotF32, DotFixed, DotSparseF32,
+    DotSparseFixed, DotWeaved, Op, Read, Snapshot, Word, Write,
+};
 
 /// Storage precision of the shared model — the `M` term of the signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,11 +81,16 @@ enum Storage {
     I8(Vec<AtomicI8>),
 }
 
+fn zeroed<W: Word>(n: usize) -> Vec<W::Atomic> {
+    (0..n).map(|_| W::Atomic::default()).collect()
+}
+
 /// A shared, lock-free model vector at a chosen storage precision.
 ///
 /// All access is through `&self`; workers on other threads hold the same
 /// reference. Reads and writes are `Ordering::Relaxed` — the Hogwild!
-/// consistency model.
+/// consistency model. The dot/AXPY methods run the crate's one set of
+/// model operations (`words.rs`) on these atomics.
 ///
 /// # Example
 ///
@@ -118,11 +127,9 @@ impl SharedModel {
     pub fn zeros(precision: ModelPrecision, n: usize) -> Self {
         assert!(n > 0, "model size must be positive");
         let storage = match precision {
-            ModelPrecision::F32 => {
-                Storage::F32((0..n).map(|_| AtomicU32::new(0f32.to_bits())).collect())
-            }
-            ModelPrecision::I16 => Storage::I16((0..n).map(|_| AtomicI16::new(0)).collect()),
-            ModelPrecision::I8 => Storage::I8((0..n).map(|_| AtomicI8::new(0)).collect()),
+            ModelPrecision::F32 => Storage::F32(zeroed::<f32>(n)),
+            ModelPrecision::I16 => Storage::I16(zeroed::<i16>(n)),
+            ModelPrecision::I8 => Storage::I8(zeroed::<i8>(n)),
         };
         SharedModel {
             storage,
@@ -139,9 +146,7 @@ impl SharedModel {
     #[must_use]
     pub fn from_f32(precision: ModelPrecision, values: &[f32]) -> Self {
         let model = SharedModel::zeros(precision, values.len());
-        for (i, &v) in values.iter().enumerate() {
-            model.write_rounded(i, v, 0.5);
-        }
+        model.restore_from(values);
         model
     }
 
@@ -153,8 +158,15 @@ impl SharedModel {
     /// Panics if `values.len() != self.len()`.
     pub fn restore_from(&self, values: &[f32]) {
         assert_eq!(values.len(), self.len(), "checkpoint length mismatch");
-        for (i, &v) in values.iter().enumerate() {
-            self.write_rounded(i, v, 0.5);
+        self.apply(Write(0, values, 0.5));
+    }
+
+    /// Runs one model operation on the relaxed-atomic words.
+    pub(crate) fn apply<O: Op>(&self, op: O) -> O::Out {
+        match &self.storage {
+            Storage::F32(w) => op.run::<f32, _>(w.as_slice(), &self.spec),
+            Storage::I16(w) => op.run::<i16, _>(w.as_slice(), &self.spec),
+            Storage::I8(w) => op.run::<i8, _>(w.as_slice(), &self.spec),
         }
     }
 
@@ -193,11 +205,7 @@ impl SharedModel {
     /// Panics if `i >= len()`.
     #[must_use]
     pub fn read(&self, i: usize) -> f32 {
-        match &self.storage {
-            Storage::F32(v) => f32::from_bits(v[i].load(Ordering::Relaxed)),
-            Storage::I16(v) => self.spec.dequantize(v[i].load(Ordering::Relaxed) as i64),
-            Storage::I8(v) => self.spec.dequantize(v[i].load(Ordering::Relaxed) as i64),
-        }
+        self.apply(Read(i))
     }
 
     /// Writes parameter `i`, quantizing with the uniform sample `u` when
@@ -208,21 +216,7 @@ impl SharedModel {
     ///
     /// Panics if `i >= len()`.
     pub fn write_rounded(&self, i: usize, value: f32, u: f32) {
-        match &self.storage {
-            Storage::F32(v) => v[i].store(value.to_bits(), Ordering::Relaxed),
-            Storage::I16(v) => {
-                v[i].store(
-                    self.spec.quantize_unbiased(value, u) as i16,
-                    Ordering::Relaxed,
-                );
-            }
-            Storage::I8(v) => {
-                v[i].store(
-                    self.spec.quantize_unbiased(value, u) as i8,
-                    Ordering::Relaxed,
-                );
-            }
-        }
+        self.apply(Write(i, &[value], u));
     }
 
     /// Copies the model out in its storage representation: the raw
@@ -234,18 +228,7 @@ impl SharedModel {
     /// dequantized copy: an 8-bit model stays 8 bits.
     #[must_use]
     pub fn snapshot_quantized(&self) -> QuantizedModel {
-        let words = match &self.storage {
-            Storage::F32(v) => FixedWords::F32(
-                v.iter()
-                    .map(|w| f32::from_bits(w.load(Ordering::Relaxed)))
-                    .collect(),
-            ),
-            Storage::I16(v) => {
-                FixedWords::I16(v.iter().map(|w| w.load(Ordering::Relaxed)).collect())
-            }
-            Storage::I8(v) => FixedWords::I8(v.iter().map(|w| w.load(Ordering::Relaxed)).collect()),
-        };
-        QuantizedModel::new(words, self.spec)
+        QuantizedModel::new(self.apply(Snapshot), self.spec)
     }
 
     /// Copies the model out as `f32` — a thin dequantizing wrapper over
@@ -263,30 +246,7 @@ impl SharedModel {
     /// Panics if `x.len() != len()`.
     #[must_use]
     pub fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32 {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        match &self.storage {
-            Storage::I8(w) => {
-                let mut total = 0i64;
-                for (xi, wi) in x.iter().zip(w) {
-                    total += (xi.widen() * wi.load(Ordering::Relaxed) as i32) as i64;
-                }
-                total as f32 * x_spec.quantum() * self.spec.quantum()
-            }
-            Storage::I16(w) => {
-                let mut total = 0i64;
-                for (xi, wi) in x.iter().zip(w) {
-                    total += (xi.widen() * wi.load(Ordering::Relaxed) as i32) as i64;
-                }
-                total as f32 * x_spec.quantum() * self.spec.quantum()
-            }
-            Storage::F32(w) => {
-                let mut acc = 0f32;
-                for (xi, wi) in x.iter().zip(w) {
-                    acc += xi.widen() as f32 * f32::from_bits(wi.load(Ordering::Relaxed));
-                }
-                acc * x_spec.quantum()
-            }
-        }
+        self.apply(DotFixed(x, x_spec))
     }
 
     /// Dense dot against a bit-weaved example served at `bits` planes.
@@ -303,44 +263,7 @@ impl SharedModel {
     /// precision.
     #[must_use]
     pub fn dot_weaved(&self, x: WeavedSlice<'_>, bits: u32) -> f32 {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        let x_quantum = x.spec().quantum();
-        let mut decoded = [0i32; BLOCK];
-        match &self.storage {
-            Storage::I8(w) => {
-                let mut total = 0i64;
-                for block in 0..x.blocks() {
-                    let valid = x.decode_block(block, bits, &mut decoded);
-                    let base = block * BLOCK;
-                    for (j, &xv) in decoded.iter().enumerate().take(valid) {
-                        total += (xv * w[base + j].load(Ordering::Relaxed) as i32) as i64;
-                    }
-                }
-                total as f32 * x_quantum * self.spec.quantum()
-            }
-            Storage::I16(w) => {
-                let mut total = 0i64;
-                for block in 0..x.blocks() {
-                    let valid = x.decode_block(block, bits, &mut decoded);
-                    let base = block * BLOCK;
-                    for (j, &xv) in decoded.iter().enumerate().take(valid) {
-                        total += (xv * w[base + j].load(Ordering::Relaxed) as i32) as i64;
-                    }
-                }
-                total as f32 * x_quantum * self.spec.quantum()
-            }
-            Storage::F32(w) => {
-                let mut acc = 0f32;
-                for block in 0..x.blocks() {
-                    let valid = x.decode_block(block, bits, &mut decoded);
-                    let base = block * BLOCK;
-                    for (j, &xv) in decoded.iter().enumerate().take(valid) {
-                        acc += xv as f32 * f32::from_bits(w[base + j].load(Ordering::Relaxed));
-                    }
-                }
-                acc * x_quantum
-            }
-        }
+        self.apply(DotWeaved(x, bits))
     }
 
     /// Dense dot against a float example.
@@ -350,30 +273,7 @@ impl SharedModel {
     /// Panics if `x.len() != len()`.
     #[must_use]
     pub fn dot_f32(&self, x: &[f32]) -> f32 {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        match &self.storage {
-            Storage::F32(w) => {
-                let mut acc = 0f32;
-                for (xi, wi) in x.iter().zip(w) {
-                    acc += xi * f32::from_bits(wi.load(Ordering::Relaxed));
-                }
-                acc
-            }
-            Storage::I16(w) => {
-                let mut acc = 0f32;
-                for (xi, wi) in x.iter().zip(w) {
-                    acc += xi * wi.load(Ordering::Relaxed) as f32;
-                }
-                acc * self.spec.quantum()
-            }
-            Storage::I8(w) => {
-                let mut acc = 0f32;
-                for (xi, wi) in x.iter().zip(w) {
-                    acc += xi * wi.load(Ordering::Relaxed) as f32;
-                }
-                acc * self.spec.quantum()
-            }
-        }
+        self.apply(DotF32(x))
     }
 
     /// Sparse dot: `Σ_j x_val[j]·w[x_idx[j]]` with fixed-point values.
@@ -388,30 +288,7 @@ impl SharedModel {
         indices: &[u32],
         x_spec: &FixedSpec,
     ) -> f32 {
-        assert_eq!(values.len(), indices.len(), "values/indices mismatch");
-        match &self.storage {
-            Storage::I8(w) => {
-                let mut total = 0i64;
-                for (v, &i) in values.iter().zip(indices) {
-                    total += (v.widen() * w[i as usize].load(Ordering::Relaxed) as i32) as i64;
-                }
-                total as f32 * x_spec.quantum() * self.spec.quantum()
-            }
-            Storage::I16(w) => {
-                let mut total = 0i64;
-                for (v, &i) in values.iter().zip(indices) {
-                    total += (v.widen() * w[i as usize].load(Ordering::Relaxed) as i32) as i64;
-                }
-                total as f32 * x_spec.quantum() * self.spec.quantum()
-            }
-            Storage::F32(w) => {
-                let mut acc = 0f32;
-                for (v, &i) in values.iter().zip(indices) {
-                    acc += v.widen() as f32 * f32::from_bits(w[i as usize].load(Ordering::Relaxed));
-                }
-                acc * x_spec.quantum()
-            }
-        }
+        self.apply(DotSparseFixed(values, indices, x_spec))
     }
 
     /// Sparse dot with float values.
@@ -421,36 +298,13 @@ impl SharedModel {
     /// Panics if lengths mismatch or any index is out of range.
     #[must_use]
     pub fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32 {
-        assert_eq!(values.len(), indices.len(), "values/indices mismatch");
-        match &self.storage {
-            Storage::F32(w) => {
-                let mut acc = 0f32;
-                for (v, &i) in values.iter().zip(indices) {
-                    acc += v * f32::from_bits(w[i as usize].load(Ordering::Relaxed));
-                }
-                acc
-            }
-            Storage::I16(w) => {
-                let mut acc = 0f32;
-                for (v, &i) in values.iter().zip(indices) {
-                    acc += v * w[i as usize].load(Ordering::Relaxed) as f32;
-                }
-                acc * self.spec.quantum()
-            }
-            Storage::I8(w) => {
-                let mut acc = 0f32;
-                for (v, &i) in values.iter().zip(indices) {
-                    acc += v * w[i as usize].load(Ordering::Relaxed) as f32;
-                }
-                acc * self.spec.quantum()
-            }
-        }
+        self.apply(DotSparseF32(values, indices))
     }
 
     /// Dense quantized AXPY `w[i] ← sat(w[i] + round(a·x[i]))`, where
     /// rounding uses `offsets` (a value in `[0, 2^15)` per element; half
-    /// for nearest, random for unbiased) on fixed storage and `uniforms`
-    /// (in `[0, 1)`) on the float-grid path.
+    /// for nearest, random for unbiased) on fixed storage; float storage
+    /// adds `a·x[i]` unrounded.
     ///
     /// Each element update is a relaxed load/store pair — racy, Hogwild!-
     /// style.
@@ -465,36 +319,7 @@ impl SharedModel {
         x_spec: &FixedSpec,
         offsets: &mut dyn FnMut(usize) -> i64,
     ) {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        const K_SHIFT: u32 = 15;
-        let k_real = a as f64 * x_spec.quantum() as f64 / self.spec.quantum() as f64;
-        let k = (k_real * (1i64 << K_SHIFT) as f64)
-            .round()
-            .clamp(i32::MIN as f64, i32::MAX as f64) as i64;
-        match &self.storage {
-            Storage::I8(w) => {
-                for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
-                    let delta = (xi.widen() as i64 * k + offsets(i)) >> K_SHIFT;
-                    let updated = (wi.load(Ordering::Relaxed) as i64 + delta).clamp(-128, 127);
-                    wi.store(updated as i8, Ordering::Relaxed);
-                }
-            }
-            Storage::I16(w) => {
-                for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
-                    let delta = (xi.widen() as i64 * k + offsets(i)) >> K_SHIFT;
-                    let updated = (wi.load(Ordering::Relaxed) as i64 + delta).clamp(-32768, 32767);
-                    wi.store(updated as i16, Ordering::Relaxed);
-                }
-            }
-            Storage::F32(w) => {
-                let scale = a * x_spec.quantum();
-                for (xi, wi) in x.iter().zip(w) {
-                    let updated =
-                        f32::from_bits(wi.load(Ordering::Relaxed)) + scale * xi.widen() as f32;
-                    wi.store(updated.to_bits(), Ordering::Relaxed);
-                }
-            }
-        }
+        self.apply(AxpyFixed(a, x, x_spec, offsets));
     }
 
     /// Dense quantized AXPY with a fixed 8-entry offset block — the fast
@@ -512,36 +337,7 @@ impl SharedModel {
         x_spec: &FixedSpec,
         offsets: &[i64; 8],
     ) {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        const K_SHIFT: u32 = 15;
-        let k_real = a as f64 * x_spec.quantum() as f64 / self.spec.quantum() as f64;
-        let k = (k_real * (1i64 << K_SHIFT) as f64)
-            .round()
-            .clamp(i32::MIN as f64, i32::MAX as f64) as i64;
-        match &self.storage {
-            Storage::I8(w) => {
-                for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
-                    let delta = (xi.widen() as i64 * k + offsets[i & 7]) >> K_SHIFT;
-                    let updated = (wi.load(Ordering::Relaxed) as i64 + delta).clamp(-128, 127);
-                    wi.store(updated as i8, Ordering::Relaxed);
-                }
-            }
-            Storage::I16(w) => {
-                for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
-                    let delta = (xi.widen() as i64 * k + offsets[i & 7]) >> K_SHIFT;
-                    let updated = (wi.load(Ordering::Relaxed) as i64 + delta).clamp(-32768, 32767);
-                    wi.store(updated as i16, Ordering::Relaxed);
-                }
-            }
-            Storage::F32(w) => {
-                let scale = a * x_spec.quantum();
-                for (xi, wi) in x.iter().zip(w) {
-                    let updated =
-                        f32::from_bits(wi.load(Ordering::Relaxed)) + scale * xi.widen() as f32;
-                    wi.store(updated.to_bits(), Ordering::Relaxed);
-                }
-            }
-        }
+        self.apply(AxpyFixed(a, x, x_spec, |i: usize| offsets[i & 7]));
     }
 
     /// Dense quantized AXPY from a bit-weaved example served at `bits`
@@ -560,54 +356,7 @@ impl SharedModel {
         bits: u32,
         offsets: &mut dyn FnMut(usize) -> i64,
     ) {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        const K_SHIFT: u32 = 15;
-        let k_real = a as f64 * x.spec().quantum() as f64 / self.spec.quantum() as f64;
-        let k = (k_real * (1i64 << K_SHIFT) as f64)
-            .round()
-            .clamp(i32::MIN as f64, i32::MAX as f64) as i64;
-        let mut decoded = [0i32; BLOCK];
-        match &self.storage {
-            Storage::I8(w) => {
-                for block in 0..x.blocks() {
-                    let valid = x.decode_block(block, bits, &mut decoded);
-                    let base = block * BLOCK;
-                    for (j, &xv) in decoded.iter().enumerate().take(valid) {
-                        let i = base + j;
-                        let delta = (xv as i64 * k + offsets(i)) >> K_SHIFT;
-                        let updated =
-                            (w[i].load(Ordering::Relaxed) as i64 + delta).clamp(-128, 127);
-                        w[i].store(updated as i8, Ordering::Relaxed);
-                    }
-                }
-            }
-            Storage::I16(w) => {
-                for block in 0..x.blocks() {
-                    let valid = x.decode_block(block, bits, &mut decoded);
-                    let base = block * BLOCK;
-                    for (j, &xv) in decoded.iter().enumerate().take(valid) {
-                        let i = base + j;
-                        let delta = (xv as i64 * k + offsets(i)) >> K_SHIFT;
-                        let updated =
-                            (w[i].load(Ordering::Relaxed) as i64 + delta).clamp(-32768, 32767);
-                        w[i].store(updated as i16, Ordering::Relaxed);
-                    }
-                }
-            }
-            Storage::F32(w) => {
-                let scale = a * x.spec().quantum();
-                for block in 0..x.blocks() {
-                    let valid = x.decode_block(block, bits, &mut decoded);
-                    let base = block * BLOCK;
-                    for (j, &xv) in decoded.iter().enumerate().take(valid) {
-                        let i = base + j;
-                        let updated =
-                            f32::from_bits(w[i].load(Ordering::Relaxed)) + scale * xv as f32;
-                        w[i].store(updated.to_bits(), Ordering::Relaxed);
-                    }
-                }
-            }
-        }
+        self.apply(AxpyWeaved(a, x, bits, offsets));
     }
 
     /// [`SharedModel::axpy_weaved`] with a fixed 8-entry offset block —
@@ -618,7 +367,7 @@ impl SharedModel {
     /// Panics if `x.len() != len()` or `bits` exceeds the stored weave
     /// precision.
     pub fn axpy_weaved_block(&self, a: f32, x: WeavedSlice<'_>, bits: u32, offsets: &[i64; 8]) {
-        self.axpy_weaved(a, x, bits, &mut |i| offsets[i & 7]);
+        self.apply(AxpyWeaved(a, x, bits, |i: usize| offsets[i & 7]));
     }
 
     /// Dense AXPY with float example data; fixed storage quantizes with
@@ -628,33 +377,7 @@ impl SharedModel {
     ///
     /// Panics if `x.len() != len()`.
     pub fn axpy_f32(&self, a: f32, x: &[f32], uniforms: &mut dyn FnMut(usize) -> f32) {
-        assert_eq!(x.len(), self.len(), "length mismatch");
-        match &self.storage {
-            Storage::F32(w) => {
-                for (xi, wi) in x.iter().zip(w) {
-                    let updated = f32::from_bits(wi.load(Ordering::Relaxed)) + a * xi;
-                    wi.store(updated.to_bits(), Ordering::Relaxed);
-                }
-            }
-            Storage::I16(w) => {
-                let scale = a / self.spec.quantum();
-                for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
-                    let target = wi.load(Ordering::Relaxed) as f64 + (scale * xi) as f64;
-                    let grid = (target + uniforms(i) as f64)
-                        .floor()
-                        .clamp(-32768.0, 32767.0);
-                    wi.store(grid as i16, Ordering::Relaxed);
-                }
-            }
-            Storage::I8(w) => {
-                let scale = a / self.spec.quantum();
-                for (i, (xi, wi)) in x.iter().zip(w).enumerate() {
-                    let target = wi.load(Ordering::Relaxed) as f64 + (scale * xi) as f64;
-                    let grid = (target + uniforms(i) as f64).floor().clamp(-128.0, 127.0);
-                    wi.store(grid as i8, Ordering::Relaxed);
-                }
-            }
-        }
+        self.apply(AxpyF32(a, x, uniforms));
     }
 
     /// Sparse quantized AXPY over the indexed coordinates only.
@@ -670,40 +393,7 @@ impl SharedModel {
         x_spec: &FixedSpec,
         offsets: &mut dyn FnMut(usize) -> i64,
     ) {
-        assert_eq!(values.len(), indices.len(), "values/indices mismatch");
-        const K_SHIFT: u32 = 15;
-        let k_real = a as f64 * x_spec.quantum() as f64 / self.spec.quantum() as f64;
-        let k = (k_real * (1i64 << K_SHIFT) as f64)
-            .round()
-            .clamp(i32::MIN as f64, i32::MAX as f64) as i64;
-        match &self.storage {
-            Storage::I8(w) => {
-                for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
-                    let slot = &w[i as usize];
-                    let delta = (v.widen() as i64 * k + offsets(j)) >> K_SHIFT;
-                    let updated = (slot.load(Ordering::Relaxed) as i64 + delta).clamp(-128, 127);
-                    slot.store(updated as i8, Ordering::Relaxed);
-                }
-            }
-            Storage::I16(w) => {
-                for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
-                    let slot = &w[i as usize];
-                    let delta = (v.widen() as i64 * k + offsets(j)) >> K_SHIFT;
-                    let updated =
-                        (slot.load(Ordering::Relaxed) as i64 + delta).clamp(-32768, 32767);
-                    slot.store(updated as i16, Ordering::Relaxed);
-                }
-            }
-            Storage::F32(w) => {
-                let scale = a * x_spec.quantum();
-                for (v, &i) in values.iter().zip(indices) {
-                    let slot = &w[i as usize];
-                    let updated =
-                        f32::from_bits(slot.load(Ordering::Relaxed)) + scale * v.widen() as f32;
-                    slot.store(updated.to_bits(), Ordering::Relaxed);
-                }
-            }
-        }
+        self.apply(AxpySparseFixed(a, values, indices, x_spec, offsets));
     }
 
     /// Sparse AXPY with float values.
@@ -718,42 +408,14 @@ impl SharedModel {
         indices: &[u32],
         uniforms: &mut dyn FnMut(usize) -> f32,
     ) {
-        assert_eq!(values.len(), indices.len(), "values/indices mismatch");
-        match &self.storage {
-            Storage::F32(w) => {
-                for (v, &i) in values.iter().zip(indices) {
-                    let slot = &w[i as usize];
-                    let updated = f32::from_bits(slot.load(Ordering::Relaxed)) + a * v;
-                    slot.store(updated.to_bits(), Ordering::Relaxed);
-                }
-            }
-            Storage::I16(w) => {
-                let scale = a / self.spec.quantum();
-                for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
-                    let slot = &w[i as usize];
-                    let target = slot.load(Ordering::Relaxed) as f64 + (scale * v) as f64;
-                    let grid = (target + uniforms(j) as f64)
-                        .floor()
-                        .clamp(-32768.0, 32767.0);
-                    slot.store(grid as i16, Ordering::Relaxed);
-                }
-            }
-            Storage::I8(w) => {
-                let scale = a / self.spec.quantum();
-                for (j, (v, &i)) in values.iter().zip(indices).enumerate() {
-                    let slot = &w[i as usize];
-                    let target = slot.load(Ordering::Relaxed) as f64 + (scale * v) as f64;
-                    let grid = (target + uniforms(j) as f64).floor().clamp(-128.0, 127.0);
-                    slot.store(grid as i8, Ordering::Relaxed);
-                }
-            }
-        }
+        self.apply(AxpySparseF32(a, values, indices, uniforms));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predict::FixedWords;
 
     #[test]
     fn precision_from_signature() {

@@ -32,6 +32,7 @@ use buckwild_kernels::dispatch;
 
 use crate::config::default_kernel;
 use crate::model::{ModelPrecision, SharedModel};
+use crate::words::Word;
 use crate::Loss;
 
 /// Raw model words at their storage precision.
@@ -156,8 +157,8 @@ impl QuantizedModel {
     pub fn to_f32(&self) -> Vec<f32> {
         match &self.words {
             FixedWords::F32(v) => v.clone(),
-            FixedWords::I16(v) => v.iter().map(|&w| self.spec.dequantize(w as i64)).collect(),
-            FixedWords::I8(v) => v.iter().map(|&w| self.spec.dequantize(w as i64)).collect(),
+            FixedWords::I16(v) => v.iter().map(|w| w.dequantize(&self.spec)).collect(),
+            FixedWords::I8(v) => v.iter().map(|w| w.dequantize(&self.spec)).collect(),
         }
     }
 }

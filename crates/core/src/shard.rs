@@ -30,10 +30,7 @@
 //! inert, so the two backends are bit-identical — the
 //! backend-equivalence tests pin this down.
 
-use buckwild_fixed::FixedSpec;
 use buckwild_kernels::delta::{packet_bytes, quantize_delta_i8};
-use buckwild_kernels::optimized::FixedInt;
-use buckwild_kernels::weave::WeavedSlice;
 use buckwild_telemetry::{Counter, Recorder};
 use buckwild_trace::{Phase, WorkerTracer};
 
@@ -41,6 +38,7 @@ use crate::arena::{LocalModel, ShardArena};
 use crate::predict::QuantizedModel;
 use crate::ring::DeltaRing;
 use crate::train::{metric, BackendState, ModelStore};
+use crate::words::Op;
 use crate::{ModelPrecision, SgdConfig};
 
 /// Packet slots per directed worker pair. Small enough that the rings
@@ -155,8 +153,8 @@ impl<C: Counter> DeltaSync<'_, C> {
 }
 
 /// One worker's model store on this backend: its private replica paired
-/// with its half of the exchange. The dot/AXPY methods are the replica's;
-/// the hooks pin the thread and run the exchange.
+/// with its half of the exchange. Model operations run on the replica's
+/// plain words; the hooks pin the thread and run the exchange.
 pub(crate) struct ShardStore<'a, C> {
     local: LocalModel<'a>,
     sync: DeltaSync<'a, C>,
@@ -165,90 +163,8 @@ pub(crate) struct ShardStore<'a, C> {
 }
 
 impl<C: Counter> ModelStore for ShardStore<'_, C> {
-    #[inline]
-    fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32 {
-        self.local.dot_fixed(x, x_spec)
-    }
-    #[inline]
-    fn dot_weaved(&self, x: WeavedSlice<'_>, bits: u32) -> f32 {
-        self.local.dot_weaved(x, bits)
-    }
-    #[inline]
-    fn dot_f32(&self, x: &[f32]) -> f32 {
-        self.local.dot_f32(x)
-    }
-    #[inline]
-    fn dot_sparse_fixed<D: FixedInt>(
-        &self,
-        values: &[D],
-        indices: &[u32],
-        x_spec: &FixedSpec,
-    ) -> f32 {
-        self.local.dot_sparse_fixed(values, indices, x_spec)
-    }
-    #[inline]
-    fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32 {
-        self.local.dot_sparse_f32(values, indices)
-    }
-    #[inline]
-    fn axpy_fixed<D: FixedInt>(
-        &mut self,
-        a: f32,
-        x: &[D],
-        x_spec: &FixedSpec,
-        offsets: &mut dyn FnMut(usize) -> i64,
-    ) {
-        self.local.axpy_fixed(a, x, x_spec, offsets);
-    }
-    #[inline]
-    fn axpy_fixed_block<D: FixedInt>(
-        &mut self,
-        a: f32,
-        x: &[D],
-        x_spec: &FixedSpec,
-        offsets: &[i64; 8],
-    ) {
-        self.local.axpy_fixed_block(a, x, x_spec, offsets);
-    }
-    #[inline]
-    fn axpy_weaved(
-        &mut self,
-        a: f32,
-        x: WeavedSlice<'_>,
-        bits: u32,
-        offsets: &mut dyn FnMut(usize) -> i64,
-    ) {
-        self.local.axpy_weaved(a, x, bits, offsets);
-    }
-    #[inline]
-    fn axpy_weaved_block(&mut self, a: f32, x: WeavedSlice<'_>, bits: u32, offsets: &[i64; 8]) {
-        self.local.axpy_weaved_block(a, x, bits, offsets);
-    }
-    #[inline]
-    fn axpy_f32(&mut self, a: f32, x: &[f32], uniforms: &mut dyn FnMut(usize) -> f32) {
-        self.local.axpy_f32(a, x, uniforms);
-    }
-    #[inline]
-    fn axpy_sparse_fixed<D: FixedInt>(
-        &mut self,
-        a: f32,
-        values: &[D],
-        indices: &[u32],
-        x_spec: &FixedSpec,
-        offsets: &mut dyn FnMut(usize) -> i64,
-    ) {
-        self.local
-            .axpy_sparse_fixed(a, values, indices, x_spec, offsets);
-    }
-    #[inline]
-    fn axpy_sparse_f32(
-        &mut self,
-        a: f32,
-        values: &[f32],
-        indices: &[u32],
-        uniforms: &mut dyn FnMut(usize) -> f32,
-    ) {
-        self.local.axpy_sparse_f32(a, values, indices, uniforms);
+    fn with_words<O: Op>(&mut self, op: O) -> O::Out {
+        self.local.apply(op)
     }
 
     /// Pins the thread, then allocates the exchange scratch on it: the

@@ -34,6 +34,10 @@ use buckwild_trace::{fault_kind, NoopTracer, Phase, Tracer, WorkerTracer};
 use crate::config::{Backend, QuantizerConfig};
 use crate::predict::{EpochSnapshot, QuantizedModel};
 use crate::shard::ShardedState;
+use crate::words::{
+    AxpyF32, AxpyFixed, AxpySparseF32, AxpySparseFixed, AxpyWeaved, DotF32, DotFixed, DotSparseF32,
+    DotSparseFixed, DotWeaved, Op,
+};
 use crate::{metrics, ConfigError, Loss, ModelPrecision, SgdConfig, SharedModel};
 
 /// Replay attempts per epoch before the engine gives up on recovery and
@@ -462,59 +466,14 @@ pub enum SparseQuant<'a> {
 
 /// Where one worker's model lives for an epoch: the shared atomic vector
 /// (`&SharedModel`) or a private replica paired with its delta exchange
-/// ([`crate::shard::ShardStore`]). The dot/AXPY methods forward to the
-/// store's own arithmetic; the hooks are where the sharded store pins its
-/// thread and runs the exchange, and are no-ops for the shared store.
+/// ([`crate::shard::ShardStore`]). A store has one job — hand an [`Op`]
+/// the words it should run on; the arithmetic is the op's and is the same
+/// source on both. The hooks are where the sharded store pins its thread
+/// and runs the exchange, and are no-ops for the shared store.
 #[doc(hidden)]
 pub trait ModelStore {
-    fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32;
-    fn dot_weaved(&self, x: WeavedSlice<'_>, bits: u32) -> f32;
-    fn dot_f32(&self, x: &[f32]) -> f32;
-    fn dot_sparse_fixed<D: FixedInt>(
-        &self,
-        values: &[D],
-        indices: &[u32],
-        x_spec: &FixedSpec,
-    ) -> f32;
-    fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32;
-    fn axpy_fixed<D: FixedInt>(
-        &mut self,
-        a: f32,
-        x: &[D],
-        x_spec: &FixedSpec,
-        offsets: &mut dyn FnMut(usize) -> i64,
-    );
-    fn axpy_fixed_block<D: FixedInt>(
-        &mut self,
-        a: f32,
-        x: &[D],
-        x_spec: &FixedSpec,
-        offsets: &[i64; 8],
-    );
-    fn axpy_weaved(
-        &mut self,
-        a: f32,
-        x: WeavedSlice<'_>,
-        bits: u32,
-        offsets: &mut dyn FnMut(usize) -> i64,
-    );
-    fn axpy_weaved_block(&mut self, a: f32, x: WeavedSlice<'_>, bits: u32, offsets: &[i64; 8]);
-    fn axpy_f32(&mut self, a: f32, x: &[f32], uniforms: &mut dyn FnMut(usize) -> f32);
-    fn axpy_sparse_fixed<D: FixedInt>(
-        &mut self,
-        a: f32,
-        values: &[D],
-        indices: &[u32],
-        x_spec: &FixedSpec,
-        offsets: &mut dyn FnMut(usize) -> i64,
-    );
-    fn axpy_sparse_f32(
-        &mut self,
-        a: f32,
-        values: &[f32],
-        indices: &[u32],
-        uniforms: &mut dyn FnMut(usize) -> f32,
-    );
+    /// Runs `op` on this store's model words.
+    fn with_words<O: Op>(&mut self, op: O) -> O::Out;
 
     /// Runs on the worker's own thread before the start barrier.
     #[inline]
@@ -528,95 +487,14 @@ pub trait ModelStore {
 }
 
 impl ModelStore for &SharedModel {
-    #[inline]
-    fn dot_fixed<D: FixedInt>(&self, x: &[D], x_spec: &FixedSpec) -> f32 {
-        SharedModel::dot_fixed(self, x, x_spec)
-    }
-    #[inline]
-    fn dot_weaved(&self, x: WeavedSlice<'_>, bits: u32) -> f32 {
-        SharedModel::dot_weaved(self, x, bits)
-    }
-    #[inline]
-    fn dot_f32(&self, x: &[f32]) -> f32 {
-        SharedModel::dot_f32(self, x)
-    }
-    #[inline]
-    fn dot_sparse_fixed<D: FixedInt>(
-        &self,
-        values: &[D],
-        indices: &[u32],
-        x_spec: &FixedSpec,
-    ) -> f32 {
-        SharedModel::dot_sparse_fixed(self, values, indices, x_spec)
-    }
-    #[inline]
-    fn dot_sparse_f32(&self, values: &[f32], indices: &[u32]) -> f32 {
-        SharedModel::dot_sparse_f32(self, values, indices)
-    }
-    #[inline]
-    fn axpy_fixed<D: FixedInt>(
-        &mut self,
-        a: f32,
-        x: &[D],
-        x_spec: &FixedSpec,
-        offsets: &mut dyn FnMut(usize) -> i64,
-    ) {
-        SharedModel::axpy_fixed(self, a, x, x_spec, offsets);
-    }
-    #[inline]
-    fn axpy_fixed_block<D: FixedInt>(
-        &mut self,
-        a: f32,
-        x: &[D],
-        x_spec: &FixedSpec,
-        offsets: &[i64; 8],
-    ) {
-        SharedModel::axpy_fixed_block(self, a, x, x_spec, offsets);
-    }
-    #[inline]
-    fn axpy_weaved(
-        &mut self,
-        a: f32,
-        x: WeavedSlice<'_>,
-        bits: u32,
-        offsets: &mut dyn FnMut(usize) -> i64,
-    ) {
-        SharedModel::axpy_weaved(self, a, x, bits, offsets);
-    }
-    #[inline]
-    fn axpy_weaved_block(&mut self, a: f32, x: WeavedSlice<'_>, bits: u32, offsets: &[i64; 8]) {
-        SharedModel::axpy_weaved_block(self, a, x, bits, offsets);
-    }
-    #[inline]
-    fn axpy_f32(&mut self, a: f32, x: &[f32], uniforms: &mut dyn FnMut(usize) -> f32) {
-        SharedModel::axpy_f32(self, a, x, uniforms);
-    }
-    #[inline]
-    fn axpy_sparse_fixed<D: FixedInt>(
-        &mut self,
-        a: f32,
-        values: &[D],
-        indices: &[u32],
-        x_spec: &FixedSpec,
-        offsets: &mut dyn FnMut(usize) -> i64,
-    ) {
-        SharedModel::axpy_sparse_fixed(self, a, values, indices, x_spec, offsets);
-    }
-    #[inline]
-    fn axpy_sparse_f32(
-        &mut self,
-        a: f32,
-        values: &[f32],
-        indices: &[u32],
-        uniforms: &mut dyn FnMut(usize) -> f32,
-    ) {
-        SharedModel::axpy_sparse_f32(self, a, values, indices, uniforms);
+    fn with_words<O: Op>(&mut self, op: O) -> O::Out {
+        self.apply(op)
     }
 }
 
 /// One dataset format as the worker loop sees it: its row type, the row's
-/// `numbers` count, its dot/AXPY call against any [`ModelStore`], and its
-/// mini-batch accumulator.
+/// `numbers` count, which dot/AXPY [`Op`] a row runs on a [`ModelStore`]'s
+/// words, and its mini-batch accumulator.
 #[doc(hidden)]
 pub trait Examples: Sync + Sized {
     type Row<'r>: Copy
@@ -628,7 +506,7 @@ pub trait Examples: Sync + Sized {
     fn example(&self, i: usize) -> (Self::Row<'_>, Label);
     /// Dataset numbers one pass over `row` reads: `n` dense, `nnz` sparse.
     fn numbers(&self, row: Self::Row<'_>) -> u64;
-    fn dot<M: ModelStore>(&self, model: &M, row: Self::Row<'_>) -> f32;
+    fn dot<M: ModelStore>(&self, model: &mut M, row: Self::Row<'_>) -> f32;
     /// The single-example write `w ← w + a·row`, rounded with `rng`.
     fn axpy<M: ModelStore>(&self, model: &mut M, a: f32, row: Self::Row<'_>, rng: &mut QuantState);
 }
@@ -687,7 +565,7 @@ impl<E: DenseExamples> Batch<E> for DenseBatch {
     ) {
         if self.fill > 0 {
             worker.write(self.scratch.len() as u64, |rng| {
-                model.axpy_f32(1.0, &self.scratch, &mut |j| rng.uniform(j));
+                model.with_words(AxpyF32(1.0, &self.scratch, |j| rng.uniform(j)));
             });
             self.scratch.fill(0.0);
             self.fill = 0;
@@ -742,14 +620,15 @@ impl<D: FixedInt> Examples for Fixed<DenseDataset<D>> {
         x.len() as u64
     }
     #[inline]
-    fn dot<M: ModelStore>(&self, model: &M, x: &[D]) -> f32 {
-        model.dot_fixed(x, &self.0.spec())
+    fn dot<M: ModelStore>(&self, model: &mut M, x: &[D]) -> f32 {
+        model.with_words(DotFixed(x, &self.0.spec()))
     }
     #[inline]
     fn axpy<M: ModelStore>(&self, model: &mut M, a: f32, x: &[D], rng: &mut QuantState) {
+        let x_spec = &self.0.spec();
         match rng.block_offsets() {
-            Some(offs) => model.axpy_fixed_block(a, x, &self.0.spec(), &offs),
-            None => model.axpy_fixed(a, x, &self.0.spec(), &mut |j| rng.offset15(j)),
+            Some(offs) => model.with_words(AxpyFixed(a, x, x_spec, |j: usize| offs[j & 7])),
+            None => model.with_words(AxpyFixed(a, x, x_spec, |j| rng.offset15(j))),
         }
     }
 }
@@ -780,15 +659,15 @@ impl Examples for WeavedDense {
         x.len() as u64
     }
     #[inline]
-    fn dot<M: ModelStore>(&self, model: &M, x: WeavedSlice<'_>) -> f32 {
-        model.dot_weaved(x, x.spec().bits())
+    fn dot<M: ModelStore>(&self, model: &mut M, x: WeavedSlice<'_>) -> f32 {
+        model.with_words(DotWeaved(x, x.spec().bits()))
     }
     #[inline]
     fn axpy<M: ModelStore>(&self, model: &mut M, a: f32, x: WeavedSlice<'_>, rng: &mut QuantState) {
         let bits = x.spec().bits();
         match rng.block_offsets() {
-            Some(offs) => model.axpy_weaved_block(a, x, bits, &offs),
-            None => model.axpy_weaved(a, x, bits, &mut |j| rng.offset15(j)),
+            Some(offs) => model.with_words(AxpyWeaved(a, x, bits, |j: usize| offs[j & 7])),
+            None => model.with_words(AxpyWeaved(a, x, bits, |j| rng.offset15(j))),
         }
     }
 }
@@ -824,12 +703,12 @@ impl Examples for DenseDataset<f32> {
         x.len() as u64
     }
     #[inline]
-    fn dot<M: ModelStore>(&self, model: &M, x: &[f32]) -> f32 {
-        model.dot_f32(x)
+    fn dot<M: ModelStore>(&self, model: &mut M, x: &[f32]) -> f32 {
+        model.with_words(DotF32(x))
     }
     #[inline]
     fn axpy<M: ModelStore>(&self, model: &mut M, a: f32, x: &[f32], rng: &mut QuantState) {
-        model.axpy_f32(a, x, &mut |j| rng.uniform(j));
+        model.with_words(AxpyF32(a, x, |j| rng.uniform(j)));
     }
 }
 
@@ -858,8 +737,8 @@ impl<D: FixedInt> Examples for Fixed<SparseDataset<D, u32>> {
         ex.nnz() as u64
     }
     #[inline]
-    fn dot<M: ModelStore>(&self, model: &M, ex: SparseExample<'_, D, u32>) -> f32 {
-        model.dot_sparse_fixed(ex.values, ex.indices, &self.0.spec())
+    fn dot<M: ModelStore>(&self, model: &mut M, ex: SparseExample<'_, D, u32>) -> f32 {
+        model.with_words(DotSparseFixed(ex.values, ex.indices, &self.0.spec()))
     }
     #[inline]
     fn axpy<M: ModelStore>(
@@ -869,8 +748,13 @@ impl<D: FixedInt> Examples for Fixed<SparseDataset<D, u32>> {
         ex: SparseExample<'_, D, u32>,
         rng: &mut QuantState,
     ) {
-        let mut off = |j: usize| rng.offset15(j);
-        model.axpy_sparse_fixed(a, ex.values, ex.indices, &self.0.spec(), &mut off);
+        model.with_words(AxpySparseFixed(
+            a,
+            ex.values,
+            ex.indices,
+            &self.0.spec(),
+            |j| rng.offset15(j),
+        ));
     }
 }
 
@@ -890,8 +774,8 @@ impl Examples for SparseDataset<f32, u32> {
         ex.nnz() as u64
     }
     #[inline]
-    fn dot<M: ModelStore>(&self, model: &M, ex: SparseExample<'_, f32, u32>) -> f32 {
-        model.dot_sparse_f32(ex.values, ex.indices)
+    fn dot<M: ModelStore>(&self, model: &mut M, ex: SparseExample<'_, f32, u32>) -> f32 {
+        model.with_words(DotSparseF32(ex.values, ex.indices))
     }
     #[inline]
     fn axpy<M: ModelStore>(
@@ -901,7 +785,7 @@ impl Examples for SparseDataset<f32, u32> {
         ex: SparseExample<'_, f32, u32>,
         rng: &mut QuantState,
     ) {
-        model.axpy_sparse_f32(a, ex.values, ex.indices, &mut |j| rng.uniform(j));
+        model.with_words(AxpySparseF32(a, ex.values, ex.indices, |j| rng.uniform(j)));
     }
 }
 

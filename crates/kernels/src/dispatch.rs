@@ -14,11 +14,11 @@
 //! Routing rules:
 //!
 //! * [`KernelFlavor::Generic`] → the widen-to-`f32` paths in
-//!   [`generic`](crate::generic) / [`sparse`](crate::sparse).
+//!   [`generic`] / [`sparse`].
 //! * [`KernelFlavor::Optimized`] and [`KernelFlavor::Proposed`] → the
 //!   integer-MAC paths (`Proposed` differs only in the cost model).
 //! * [`KernelFlavor::BitSerial`] → the plane-serial kernels in
-//!   [`weave`](crate::weave) when both operands are fixed-point and the
+//!   [`weave`] when both operands are fixed-point and the
 //!   data precision fits `1..=16`; float operands fall back to the
 //!   optimized path (there is no bit-plane decomposition of IEEE
 //!   floats worth serializing).

@@ -1,6 +1,6 @@
 //! Runtime CPU-feature probe and ISA selection for the SIMD kernels.
 //!
-//! The hand-vectorized kernels in [`crate::simd`] come in three tiers:
+//! The hand-vectorized kernels in `crate::simd` come in three tiers:
 //! the safe chunked-accumulator scalar code (always available, and the
 //! bit-identity reference), explicit AVX2 `std::arch` paths, and AVX-512
 //! widenings of the integer dot products. Which tier runs is decided

@@ -9,7 +9,8 @@
 //!   one training publisher and many serving readers. Training installs
 //!   [`SnapshotHub::observer`] via `SgdConfig::on_snapshot`; after every
 //!   epoch (on both the shared-model and sharded-delta backends) the hub
-//!   receives an [`EpochSnapshot`] holding the raw fixed-point words.
+//!   receives an [`EpochSnapshot`](buckwild::EpochSnapshot) holding the raw
+//!   fixed-point words.
 //!   Readers acquire the active slot and clone an `Arc` — the publisher
 //!   never blocks on them, and a reader mid-request keeps its consistent
 //!   epoch while newer ones swap in.
