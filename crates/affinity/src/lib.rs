@@ -89,8 +89,8 @@ pub fn simd_width_bits() -> u32 {
 }
 
 /// Lowercase name of the widest kernel ISA tier this CPU can execute
-/// (`"scalar"`, `"avx2"`, or `"avx512"`) — recorded in the `hardware`
-/// block of the `BENCH_*.json` baselines.
+/// (`"scalar"` or `"avx2"`) — recorded in the `hardware` block of the
+/// `BENCH_*.json` baselines.
 #[must_use]
 pub fn detected_isa() -> &'static str {
     buckwild_kernels::isa::detected().name()
@@ -135,8 +135,8 @@ mod tests {
         let line = cache_line_bytes();
         assert!(line.is_power_of_two() && (16..=1024).contains(&line));
         let simd = simd_width_bits();
-        assert!([128, 256, 512].contains(&simd));
-        assert!(["scalar", "avx2", "avx512"].contains(&detected_isa()));
+        assert!([128, 256].contains(&simd));
+        assert!(["scalar", "avx2"].contains(&detected_isa()));
         let text = summary();
         assert!(text.contains("cores") && text.contains("SIMD"));
     }

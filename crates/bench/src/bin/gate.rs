@@ -65,8 +65,8 @@ fn usage() -> String {
          --seconds <f64>    budget per sample (default {GATE_SECONDS}, or\n\
                             {GATE_SERVE_SECONDS} with --serve)\n\
          --repeats <n>      samples per row (default {GATE_REPEATS})\n\
-         --isa <isa>        pin the kernel ISA tier: scalar | avx2 |\n\
-                            avx512 | auto (default: auto-detect)"
+         --isa <isa>        pin the kernel ISA tier: scalar | avx2 | auto\n\
+                            (default: auto-detect)"
     )
 }
 
@@ -112,7 +112,7 @@ fn parse_args() -> Result<Option<Args>, String> {
                     let _ = buckwild_kernels::isa::set_active(isa);
                 }
                 Some(Err(e)) => return Err(format!("--isa: {e}")),
-                None => return Err("--isa requires scalar|avx2|avx512|auto".into()),
+                None => return Err("--isa requires scalar|avx2|auto".into()),
             },
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unrecognized argument `{other}`")),

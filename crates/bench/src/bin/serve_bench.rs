@@ -53,7 +53,7 @@ fn usage() -> String {
          --examples <n>       training examples (default {})\n\
          --train-threads <n>  training workers (default {})\n\
          --seed <n>           problem/batch seed (default {})\n\
-         --isa <isa>          kernel ISA tier: scalar | avx2 | avx512 | auto\n\
+         --isa <isa>          kernel ISA tier: scalar | avx2 | auto\n\
          --metrics-addr <a>   serve live Prometheus metrics at <host:port>\n\
          --obs-log <path>     write a JSONL metrics time series to <path>\n\
          --compact            single-line JSON instead of pretty",
@@ -115,7 +115,7 @@ fn parse_args() -> Result<Option<Args>, String> {
                     let _ = buckwild_kernels::isa::set_active(isa);
                 }
                 Some(Err(e)) => return Err(format!("--isa: {e}")),
-                None => return Err("--isa requires scalar|avx2|avx512|auto".into()),
+                None => return Err("--isa requires scalar|avx2|auto".into()),
             },
             "--metrics-addr" => match args.next() {
                 Some(addr) if !addr.is_empty() => parsed.opts.metrics_addr = Some(addr),

@@ -12,10 +12,6 @@
 //!   [`observe`](crate::observe)).
 //! * `--roofline` — print the DMGC roofline (compute / memory / coherence
 //!   breakdown with predicted and measured GNPS) after the experiment.
-//! * `--kernel {generic,optimized,proposed,bitserial}` — process-wide
-//!   kernel-flavour override (installed via `buckwild::set_default_kernel`
-//!   before the experiment runs), so any experiment can be replayed on the
-//!   bit-serial MLWeaving layout.
 //! * `--help` — print usage.
 //!
 //! Emitted JSON is validated against the schema (a parse round-trip
@@ -25,7 +21,7 @@
 
 use std::process::ExitCode;
 
-use buckwild::{Backend, KernelFlavor};
+use buckwild::Backend;
 use buckwild_kernels::KernelIsa;
 use buckwild_telemetry::json::Value;
 use buckwild_telemetry::ExperimentResult;
@@ -56,10 +52,6 @@ pub struct Options {
     /// Optional training-backend override, applied process-wide before the
     /// experiment builds its configurations.
     pub backend: Option<Backend>,
-    /// Optional kernel-flavour override, applied process-wide before the
-    /// experiment builds its configurations (`--kernel bitserial` runs
-    /// every dense fixed-point kernel through the MLWeaving layout).
-    pub kernel: Option<KernelFlavor>,
     /// Optional kernel-ISA override, pinned process-wide before the
     /// experiment runs (`--isa scalar` forces the chunked fallback;
     /// requests above the hardware are clamped).
@@ -70,8 +62,7 @@ fn usage(name: &str) -> String {
     format!(
         "usage: {name} [--format {{text,json}}] [--json <path>] [--seed <u64>]\n\
                        [--trace <path>] [--roofline] [--backend {{shared,sharded}}]\n\
-                       [--kernel {{generic,optimized,proposed,bitserial}}]\n\
-                       [--isa {{scalar,avx2,avx512,auto}}]\n\
+                       [--isa {{scalar,avx2,auto}}]\n\
          \n\
            --format text   aligned tables on stdout (default)\n\
          --format json   ExperimentResult JSON on stdout\n\
@@ -81,12 +72,9 @@ fn usage(name: &str) -> String {
          --roofline      print the DMGC compute/memory/coherence roofline\n\
          --backend <b>   train on `shared` (Hogwild!) or `sharded` (delta\n\
                          rings) model storage; default shared\n\
-         --kernel <k>    kernel flavour for every training run: `generic`,\n\
-                         `optimized` (default), `proposed`, or `bitserial`\n\
-                         (MLWeaving plane-major layout)\n\
-         --isa <isa>     kernel instruction-set tier: `scalar`, `avx2`,\n\
-                         `avx512`, or `auto` (default: BUCKWILD_ISA or the\n\
-                         hardware probe; clamped to what the CPU supports)\n\
+         --isa <isa>     kernel instruction-set tier: `scalar`, `avx2`, or\n\
+                         `auto` (default: BUCKWILD_ISA or the hardware\n\
+                         probe; clamped to what the CPU supports)\n\
          \n\
          budget knobs (environment): BUCKWILD_SECONDS, BUCKWILD_FULL=1"
     )
@@ -105,7 +93,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Options>,
         trace_path: None,
         roofline: false,
         backend: None,
-        kernel: None,
         isa: None,
     };
     let mut it = args.into_iter();
@@ -142,23 +129,12 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Options>,
                 },
                 None => return Err("--backend requires a value (shared or sharded)".into()),
             },
-            "--kernel" => match it.next() {
-                Some(value) => match value.parse() {
-                    Ok(flavor) => options.kernel = Some(flavor),
-                    Err(e) => return Err(format!("invalid kernel `{value}`: {e}")),
-                },
-                None => {
-                    return Err("--kernel requires a value (generic, optimized, proposed, \
-                                or bitserial)"
-                        .into())
-                }
-            },
             "--isa" => match it.next() {
                 Some(value) => match value.parse() {
                     Ok(isa) => options.isa = Some(isa),
                     Err(e) => return Err(format!("invalid ISA `{value}`: {e}")),
                 },
-                None => return Err("--isa requires a value (scalar, avx2, avx512, or auto)".into()),
+                None => return Err("--isa requires a value (scalar, avx2, or auto)".into()),
             },
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unrecognized argument `{other}`")),
@@ -249,15 +225,11 @@ fn dispatch<F: FnOnce() -> Vec<ExperimentResult>>(name: &str, build: F) -> ExitC
     }
 }
 
-/// Installs the `--backend` and `--kernel` overrides as the process
-/// defaults, so every `SgdConfig::new` the experiment builds picks them
-/// up.
+/// Installs the `--backend` override as the process default, so every
+/// `SgdConfig::new` the experiment builds picks it up, and pins `--isa`.
 fn apply_backend(options: &Options) {
     if let Some(backend) = options.backend {
         buckwild::set_default_backend(backend);
-    }
-    if let Some(flavor) = options.kernel {
-        buckwild::set_default_kernel(flavor);
     }
     if let Some(isa) = options.isa {
         // First pin wins by design; kernels have not run yet at this point,
@@ -345,10 +317,9 @@ mod tests {
         assert!(parse(args(&["--trace"])).is_err());
         assert!(parse(args(&["--backend"])).is_err());
         assert!(parse(args(&["--backend", "mongodb"])).is_err());
-        assert!(parse(args(&["--kernel"])).is_err());
-        assert!(parse(args(&["--kernel", "quantum"])).is_err());
         assert!(parse(args(&["--isa"])).is_err());
         assert!(parse(args(&["--isa", "quantum"])).is_err());
+        assert!(parse(args(&["--isa", "avx512"])).is_err());
     }
 
     #[test]
@@ -360,17 +331,6 @@ mod tests {
         let options = parse(args(&["--isa", "auto"])).unwrap().unwrap();
         assert_eq!(options.isa, Some(buckwild_kernels::isa::detected()));
         assert_eq!(parse(args(&[])).unwrap().unwrap().isa, None);
-    }
-
-    #[test]
-    fn parses_kernel() {
-        let options = parse(args(&["--kernel", "bitserial"])).unwrap().unwrap();
-        assert_eq!(options.kernel, Some(KernelFlavor::BitSerial));
-        let options = parse(args(&["--kernel", "mlweaving"])).unwrap().unwrap();
-        assert_eq!(options.kernel, Some(KernelFlavor::BitSerial));
-        let options = parse(args(&["--kernel", "generic"])).unwrap().unwrap();
-        assert_eq!(options.kernel, Some(KernelFlavor::Generic));
-        assert_eq!(parse(args(&[])).unwrap().unwrap().kernel, None);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! The staleness process the obstinate cache induces — workers keep serving
 //! stale model lines whose invalidates were ignored with probability `q` —
-//! is emulated in software here (see `buckwild::obstinate`). The paper's
-//! finding: "no detectable effect on statistical efficiency, even when q is
-//! as high as 95%."
+//! is emulated in software here by the `obstinacy` knob of the chaos
+//! engine's `FaultPlan` (the engine trains at full precision, isolating
+//! staleness from quantization). The paper's finding: "no detectable
+//! effect on statistical efficiency, even when q is as high as 95%."
 
-use buckwild::obstinate::ObstinateConfig;
-use buckwild::Loss;
+use buckwild::{ChaosSgdConfig, FaultPlan, Loss};
 use buckwild_dataset::generate;
 use buckwild_telemetry::{ExperimentResult, Series};
 
@@ -43,12 +43,15 @@ pub fn result() -> ExperimentResult {
     );
     let mut finals = Vec::new();
     for &q in &qs {
-        let mut config = ObstinateConfig::new(Loss::Logistic, q);
-        config.epochs = epochs;
-        config.seed = 6;
-        let trajectory = config.train(&problem.data).expect("valid config");
-        losses.push_row(format!("q = {q}"), &trajectory);
-        finals.push(*trajectory.last().expect("nonempty"));
+        let report = ChaosSgdConfig::new(Loss::Logistic, FaultPlan::new(6).obstinacy(q))
+            .threads(2)
+            .step_size(0.3)
+            .step_decay(0.9)
+            .epochs(epochs)
+            .train(&problem.data)
+            .expect("valid config");
+        losses.push_row(format!("q = {q}"), report.epoch_losses());
+        finals.push(report.final_loss());
     }
     r.push_series(losses);
     let spread = finals.iter().cloned().fold(f64::MIN, f64::max)

@@ -69,8 +69,8 @@ pub struct Hardware {
     pub cache_line_bytes: u64,
     /// Widest available SIMD vector, in bits.
     pub simd_width_bits: u32,
-    /// Kernel ISA tier the rows were measured under (`scalar`, `avx2`,
-    /// `avx512`). Reflects the *active* tier — an override (`--isa`,
+    /// Kernel ISA tier the rows were measured under (`scalar` or `avx2`).
+    /// Reflects the *active* tier — an override (`--isa`,
     /// `BUCKWILD_ISA`) changes it, so a baseline pinned to one tier is
     /// never silently compared against another.
     pub isa: String,
@@ -312,9 +312,9 @@ pub fn run_kernels_gate(seconds: f64, repeats: usize) -> GateReport {
     }
     // Per-ISA rows: the flagship dense signatures re-measured under each
     // ISA tier the machine supports, so the committed baseline shows the
-    // SIMD speedup ladder (`@scalar` is the portable floor, `@avx2` /
-    // `@avx512` the vector tiers). An active override caps the ladder —
-    // `--isa scalar` emits only the scalar rung.
+    // SIMD speedup ladder (`@scalar` is the portable floor, `@avx2` the
+    // vector tier). An active override caps the ladder — `--isa scalar`
+    // emits only the scalar rung.
     for tier in buckwild_kernels::isa::KernelIsa::ALL {
         if tier > buckwild_kernels::isa::active() {
             continue;

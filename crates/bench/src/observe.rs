@@ -15,12 +15,9 @@
 //!   and **coherence** (effective invalidations measured by the cache
 //!   simulator, each charged an L3 round trip), next to the cost model's
 //!   predicted GNPS and the GNPS *measured* from traced kernel spans of a
-//!   real training run. The fixed-point signatures appear twice: once
-//!   under the word-major `optimized` flavour and once under the
-//!   bit-serial (MLWeaving) flavour, so the plane-major layout gets the
-//!   same compute/memory/coherence bound classification as the baseline.
+//!   real training run.
 //!   A per-ISA ladder re-profiles the flagship D8M8 signature under each
-//!   supported kernel ISA tier (`@scalar`, `@avx2`, `@avx512`) with the
+//!   supported kernel ISA tier (`@scalar`, `@avx2`) with the
 //!   width-scaled cost model next to GNPS measured under a scoped tier
 //!   override, and the report header records the active tier.
 //!   A fault-injected chaos run contributes the observed write-staleness,
@@ -63,12 +60,6 @@ const BACKEND_SIM_ITERATIONS: usize = 32;
 
 /// The signatures profiled by the roofline (the Figure 5a dense diagonal).
 const ROOFLINE_SIGNATURES: [&str; 3] = ["D32fM32f", "D16M16", "D8M8"];
-
-/// The fixed-point signatures also profiled under the bit-serial
-/// (MLWeaving) kernel flavour, so the roofline classifies the plane-major
-/// layout next to the word-major baseline. Floating data has no integer
-/// planes, so `D32fM32f` is word-major only.
-const BITSERIAL_SIGNATURES: [&str; 2] = ["D16M16", "D8M8"];
 
 fn quantizer_for(signature: &Signature) -> QuantizerKind {
     if signature.model().is_float() {
@@ -125,14 +116,12 @@ pub fn traced_kernel_gnps(trace: &Trace) -> Option<f64> {
     (busy_ns > 0).then(|| elems as f64 / busy_ns as f64)
 }
 
-/// Measures one signature's kernel GNPS from a traced single-thread run
-/// under the given kernel flavour.
-fn measured_gnps(signature: &Signature, flavor: KernelFlavor, seed: u64) -> Option<f64> {
+/// Measures one signature's kernel GNPS from a traced single-thread run.
+fn measured_gnps(signature: &Signature, seed: u64) -> Option<f64> {
     let problem = generate::logistic_dense(FEATURES, EXAMPLES, seed);
     let tracer = RingTracer::new();
     SgdConfig::new(Loss::Logistic)
         .signature(*signature)
-        .kernel(flavor)
         .threads(1)
         .epochs(2)
         .seed(seed)
@@ -286,27 +275,21 @@ pub fn roofline_with_backends(seed: u64) -> (RooflineReport, BackendComparison) 
     let params = CostParams::xeon();
     let mut report = RooflineReport::new("paper-xeon");
     report.set_isa(isa::active().name());
-    let mut profile = |text: &str, flavor: KernelFlavor| {
+    for text in ROOFLINE_SIGNATURES {
         let signature: Signature = text.parse().expect("valid signature");
         let quantizer = quantizer_for(&signature);
-        let mix = iteration_mix(&signature, flavor, quantizer);
+        let mix = iteration_mix(&signature, KernelFlavor::Optimized, quantizer);
         let compute = mix.total_instrs() / params.issue_per_cycle;
         let memory = mix.dataset_bytes / params.bytes_per_cycle
             + params.overhead_per_32b * mix.dataset_bytes / 32.0;
         report.push(RooflineEntry {
-            label: format!("{text}/{flavor}"),
+            label: format!("{text}/optimized"),
             compute_cycles: compute,
             memory_cycles: memory,
             coherence_cycles: simulated_coherence_cycles(&signature),
             predicted_gnps: params.estimate_gnps(&mix),
-            measured_gnps: measured_gnps(&signature, flavor, seed),
+            measured_gnps: measured_gnps(&signature, seed),
         });
-    };
-    for text in ROOFLINE_SIGNATURES {
-        profile(text, KernelFlavor::Optimized);
-    }
-    for text in BITSERIAL_SIGNATURES {
-        profile(text, KernelFlavor::BitSerial);
     }
     // Per-ISA ladder: the flagship dense signature re-profiled under each
     // ISA tier this machine supports — the width-scaled cost-model
@@ -324,7 +307,7 @@ pub fn roofline_with_backends(seed: u64) -> (RooflineReport, BackendComparison) 
             + params.overhead_per_32b * mix.dataset_bytes / 32.0;
         let measured = {
             let _pin = isa::scoped(tier);
-            measured_gnps(&signature, KernelFlavor::Optimized, seed)
+            measured_gnps(&signature, seed)
         };
         report.push(RooflineEntry {
             label: format!("D8M8/optimized@{tier}"),
@@ -397,8 +380,6 @@ mod tests {
             "{labels:?}"
         );
         assert!(labels.iter().any(|l| l.starts_with("D8M8")), "{labels:?}");
-        assert!(labels.contains(&"D8M8/bitserial"), "{labels:?}");
-        assert!(labels.contains(&"D16M16/bitserial"), "{labels:?}");
         // Per-ISA ladder: scalar is always supported, and the report
         // records the active tier it ran under.
         assert!(labels.contains(&"D8M8/optimized@scalar"), "{labels:?}");

@@ -66,11 +66,6 @@ pub struct SgdWorkload {
     /// replicas exchanging 8-bit delta packets over SPSC rings every `k`
     /// iterations. `None`: the shared-model (Hogwild!) layout.
     pub sharded_delta_every: Option<usize>,
-    /// `Some(bits)`: the dataset stream uses the bit-serial MLWeaving
-    /// layout serving `bits` planes per 64-element block, so one
-    /// iteration streams `ceil(numbers * bits / 8)` bytes instead of
-    /// `numbers * data_elem_bytes`. `None`: word-major layout.
-    pub weaved_bits: Option<u32>,
     /// Trace seed (sparse index sampling).
     pub seed: u64,
 }
@@ -92,7 +87,6 @@ impl SgdWorkload {
             iterations_per_core,
             sparse_nnz: None,
             sharded_delta_every: None,
-            weaved_bits: None,
             seed: 0,
         }
     }
@@ -122,7 +116,6 @@ impl SgdWorkload {
             iterations_per_core,
             sparse_nnz: Some(nnz),
             sharded_delta_every: None,
-            weaved_bits: None,
             seed: 0,
         }
     }
@@ -141,27 +134,6 @@ impl SgdWorkload {
     pub fn sharded(mut self, delta_every: usize) -> Self {
         assert!(delta_every > 0, "delta exchange period must be positive");
         self.sharded_delta_every = Some(delta_every);
-        self
-    }
-
-    /// Switches the dataset stream to the bit-serial MLWeaving layout
-    /// serving `bits` planes per 64-element block. The example stream
-    /// then carries `ceil(numbers * bits / 8)` bytes per iteration, so a
-    /// truncated read (`bits` below the stored precision) streams
-    /// proportionally fewer cache lines — the memory-side win the weaved
-    /// layout exists for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `1..=16` (the plane budget of the
-    /// weaved encoding).
-    #[must_use]
-    pub fn weaved(mut self, bits: u32) -> Self {
-        assert!(
-            (1..=16).contains(&bits),
-            "weaved plane count must be 1..=16"
-        );
-        self.weaved_bits = Some(bits);
         self
     }
 
@@ -192,10 +164,7 @@ impl SgdWorkload {
         line_bytes: u64,
     ) -> Vec<Access> {
         let mut out = Vec::new();
-        let data_bytes_per_iter = match self.weaved_bits {
-            Some(bits) => (self.numbers_per_iteration() as u64 * u64::from(bits)).div_ceil(8),
-            None => self.numbers_per_iteration() as u64 * self.data_elem_bytes,
-        };
+        let data_bytes_per_iter = self.numbers_per_iteration() as u64 * self.data_elem_bytes;
         let data_lines = data_bytes_per_iter.div_ceil(line_bytes).max(1);
         let data_start =
             DATA_BASE_LINE + core as u64 * DATA_CORE_STRIDE + iteration as u64 * data_lines;
@@ -434,34 +403,6 @@ mod tests {
     #[should_panic(expected = "nnz must not exceed")]
     fn sparse_validates_nnz() {
         let _ = SgdWorkload::sparse(16, 32, 1, 1, 1);
-    }
-
-    #[test]
-    fn weaved_stream_packs_planes_into_fewer_lines() {
-        let full = SgdWorkload::dense(1024, 1, 1);
-        let data = |w: &SgdWorkload| {
-            w.iteration_accesses(0, 1, 0, 64)
-                .iter()
-                .filter(|a| a.region == Region::Dataset)
-                .count()
-        };
-        // Word-major 8-bit data: 16 lines, read for the dot and re-read
-        // for the AXPY.
-        assert_eq!(data(&full), 32);
-        // Serving 4 of 8 planes streams half the bytes: 1024 * 4 / 8 =
-        // 512 B = 8 lines per pass.
-        assert_eq!(data(&full.weaved(4)), 16);
-        // Serving every plane matches the word-major footprint exactly.
-        assert_eq!(data(&full.weaved(8)), 32);
-        // A lone plane still rounds up to at least one line.
-        let tiny = SgdWorkload::dense(64, 1, 1);
-        assert_eq!(data(&tiny.weaved(1)), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be 1..=16")]
-    fn weaved_validates_plane_count() {
-        let _ = SgdWorkload::dense(16, 1, 1).weaved(17);
     }
 
     #[test]

@@ -293,11 +293,10 @@ impl Op for AccumulateDiff<'_> {
 mod tests {
     use super::*;
     use crate::words::{
-        AxpyF32, AxpyFixed, AxpySparseF32, AxpySparseFixed, AxpyWeaved, DotF32, DotFixed,
-        DotSparseF32, DotSparseFixed, DotWeaved,
+        AxpyF32, AxpyFixed, AxpySparseF32, AxpySparseFixed, DotF32, DotFixed, DotSparseF32,
+        DotSparseFixed,
     };
     use crate::SharedModel;
-    use buckwild_kernels::weave::WeavedVec;
 
     #[test]
     fn shards_are_cache_line_aligned_at_every_precision() {
@@ -352,8 +351,6 @@ mod tests {
         let x8: Vec<i8> = (0..n).map(|i| ((i * 37) % 251) as i8).collect();
         let xf: Vec<f32> = (0..n).map(|i| (i as f32 - 32.0) / 64.0).collect();
         let x_spec = &FixedSpec::unit_range(8);
-        let weaved = WeavedVec::encode(&x8, x_spec);
-        let x = weaved.view();
         let offs = [3i64, 99, 1024, 0, 8000, 123, 77, 15000];
         let off = |i: usize| ((i * 7919) % (1 << 15)) as i64;
         let uni = |i: usize| ((i * 31) % 97) as f32 / 97.0;
@@ -374,13 +371,6 @@ mod tests {
             "{tag}"
         );
         assert_eq!(local.apply(DotF32(&xf)), shared.dot_f32(&xf), "{tag}");
-        for bits in [8, 4] {
-            assert_eq!(
-                local.apply(DotWeaved(x, bits)),
-                shared.dot_weaved(x, bits),
-                "{tag} bits={bits}"
-            );
-        }
         assert_eq!(
             local.apply(DotSparseFixed(values, indices, x_spec)),
             shared.dot_sparse_fixed(values, indices, x_spec),
@@ -398,12 +388,6 @@ mod tests {
         let a = -0.21 * scale;
         shared.axpy_fixed_block(a, &x8, x_spec, &offs);
         local.apply(AxpyFixed(a, &x8, x_spec, |i: usize| offs[i & 7]));
-        for (a, bits) in [(0.11 * scale, 8), (-0.09 * scale, 4)] {
-            shared.axpy_weaved_block(a, x, bits, &offs);
-            local.apply(AxpyWeaved(a, x, bits, |i: usize| offs[i & 7]));
-            shared.axpy_weaved(-a, x, bits, &mut { off });
-            local.apply(AxpyWeaved(-a, x, bits, off));
-        }
         let a = 0.12 * scale;
         shared.axpy_f32(a, &xf, &mut { uni });
         local.apply(AxpyF32(a, &xf, uni));
@@ -423,8 +407,8 @@ mod tests {
     fn local_model_matches_shared_model_bit_for_bit() {
         // The equivalence the whole sharded backend rests on: the atomic
         // and the plain instantiation of every op produce the same bits —
-        // at lengths that are not multiples of the 8-entry offset block
-        // or the 64-wide weave block, and with every clamp arm taken.
+        // at lengths that are not multiples of the 8-entry offset block,
+        // and with every clamp arm taken.
         for precision in [ModelPrecision::F32, ModelPrecision::I16, ModelPrecision::I8] {
             let spec = precision.spec();
             for n in [1usize, 7, 63, 64, 65, 130] {

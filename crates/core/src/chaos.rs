@@ -11,17 +11,15 @@
 //!
 //! Virtual time also unlocks the plan knobs real threads cannot express:
 //! write *delays* measured in scheduler ticks (a store-buffer analogue)
-//! and per-line stale read views (the paper's §6.2 obstinate cache, which
-//! [`crate::obstinate`] builds on).
+//! and per-line stale read views (the paper's §6.2 obstinate cache:
+//! `FaultPlan::new(seed).obstinacy(q)` is the Figure 6f experiment).
 //!
 //! [`SgdConfig::train_with_faults`]: crate::SgdConfig::train_with_faults
 
 use buckwild_chaos::metric as chaos_metric;
 use buckwild_chaos::{FaultPlan, IterFate, WorkerRun, WriteFate};
 use buckwild_dataset::DenseDataset;
-use buckwild_telemetry::{
-    Counter, Histogram, MetricsSnapshot, NoopRecorder, Recorder, ShardedRecorder,
-};
+use buckwild_telemetry::{Counter, Histogram, MetricsSnapshot, Recorder, ShardedRecorder};
 use buckwild_trace::{fault_kind, NoopTracer, Phase, Tracer, WorkerTracer};
 
 use crate::train::metric;
@@ -138,16 +136,6 @@ impl ChaosSgdConfig {
     pub fn train(&self, data: &DenseDataset<f32>) -> Result<ChaosReport, TrainError> {
         let recorder = ShardedRecorder::new(self.threads.max(1));
         self.train_with(data, &recorder)
-    }
-
-    /// Runs the deterministic engine and returns only the per-epoch
-    /// losses — the [`crate::obstinate`] calling convention.
-    ///
-    /// # Errors
-    ///
-    /// See [`ChaosSgdConfig::train`].
-    pub fn train_losses(&self, data: &DenseDataset<f32>) -> Result<Vec<f64>, TrainError> {
-        Ok(self.train_with(data, &NoopRecorder)?.epoch_losses)
     }
 
     /// Runs the deterministic engine, recording telemetry through the
@@ -643,6 +631,7 @@ impl ChaosReport {
 mod tests {
     use super::*;
     use buckwild_dataset::generate;
+    use buckwild_telemetry::NoopRecorder;
 
     fn quick(plan: FaultPlan) -> ChaosSgdConfig {
         ChaosSgdConfig::new(Loss::Logistic, plan)
@@ -777,6 +766,56 @@ mod tests {
             quick(FaultPlan::new(0)).epochs(0).train(&p.data),
             Err(TrainError::Config(_))
         ));
+    }
+
+    /// The obstinate cache (paper §6.2, Figure 6f): every virtual worker
+    /// refreshes each model line with probability `1 − q` between
+    /// iterations and otherwise trains on its stale copy.
+    fn obstinate(q: f64) -> ChaosSgdConfig {
+        ChaosSgdConfig::new(Loss::Logistic, FaultPlan::new(0).obstinacy(q))
+    }
+
+    #[test]
+    fn q_zero_matches_plain_hogwild_quality() {
+        let p = generate::logistic_dense(48, 500, 3);
+        let report = obstinate(0.0).train(&p.data).unwrap();
+        assert!(report.final_loss() < 0.45, "{:?}", report.epoch_losses());
+    }
+
+    #[test]
+    fn high_obstinacy_still_converges() {
+        // Figure 6f: no detectable statistical-efficiency loss at q=0.95.
+        let p = generate::logistic_dense(48, 500, 4);
+        let b = obstinate(0.0).train(&p.data).unwrap().final_loss();
+        let s = obstinate(0.95).train(&p.data).unwrap().final_loss();
+        assert!(s < b + 0.1, "q=0.95 loss {s} vs q=0 loss {b}");
+    }
+
+    #[test]
+    fn invalid_q_rejected() {
+        let p = generate::logistic_dense(8, 20, 5);
+        assert!(obstinate(1.5).train(&p.data).is_err());
+        assert!(obstinate(-0.1).train(&p.data).is_err());
+    }
+
+    #[test]
+    fn single_thread_q_one_trains_on_own_writes() {
+        // With one worker, staleness is invisible (its own writes update
+        // its local view), so even q=1 must converge.
+        let p = generate::logistic_dense(32, 300, 6);
+        let report = obstinate(1.0).threads(1).train(&p.data).unwrap();
+        assert!(report.final_loss() < 0.5, "{:?}", report.epoch_losses());
+    }
+
+    #[test]
+    fn runs_are_deterministic_given_seed() {
+        // A Figure 6f point is a pure function of the seed.
+        let p = generate::logistic_dense(32, 300, 7);
+        let config = obstinate(0.9);
+        assert_eq!(
+            config.train(&p.data).unwrap().epoch_losses(),
+            config.train(&p.data).unwrap().epoch_losses()
+        );
     }
 
     #[test]

@@ -10,7 +10,6 @@ use std::sync::OnceLock;
 use buckwild_dmgc::Signature;
 use buckwild_fixed::Rounding;
 use buckwild_kernels::cost::QuantizerKind;
-use buckwild_kernels::KernelFlavor;
 
 use crate::predict::EpochSnapshot;
 use crate::train::{TrainControl, TrainProgress};
@@ -97,56 +96,23 @@ pub fn default_backend() -> Backend {
         2 => Backend::ShardedDelta,
         _ => {
             static FROM_ENV: OnceLock<Backend> = OnceLock::new();
-            *FROM_ENV.get_or_init(|| {
-                std::env::var("BUCKWILD_BACKEND")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_default()
-            })
+            *FROM_ENV
+                .get_or_init(|| backend_from_env(std::env::var("BUCKWILD_BACKEND").ok().as_deref()))
         }
     }
 }
 
-/// Process-wide default kernel flavour override: 0 = unset, else
-/// discriminant+1.
-static DEFAULT_KERNEL: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default kernel flavour used by
-/// [`SgdConfig::new`].
-///
-/// This is how `--kernel` on the experiment binaries reaches every
-/// configuration they build internally (the axis mirrors `--backend`);
-/// an explicit [`SgdConfig::kernel`] call always wins over the default.
-pub fn set_default_kernel(kernel: KernelFlavor) {
-    let code = match kernel {
-        KernelFlavor::Generic => 1,
-        KernelFlavor::Optimized => 2,
-        KernelFlavor::Proposed => 3,
-        KernelFlavor::BitSerial => 4,
-    };
-    DEFAULT_KERNEL.store(code, Ordering::Relaxed);
-}
-
-/// The default kernel flavour for new configurations: the value
-/// installed by [`set_default_kernel`], else the `BUCKWILD_KERNEL`
-/// environment variable (`generic` / `optimized` / `proposed` /
-/// `bitserial`), else [`KernelFlavor::Optimized`].
-#[must_use]
-pub fn default_kernel() -> KernelFlavor {
-    match DEFAULT_KERNEL.load(Ordering::Relaxed) {
-        1 => KernelFlavor::Generic,
-        2 => KernelFlavor::Optimized,
-        3 => KernelFlavor::Proposed,
-        4 => KernelFlavor::BitSerial,
-        _ => {
-            static FROM_ENV: OnceLock<KernelFlavor> = OnceLock::new();
-            *FROM_ENV.get_or_init(|| {
-                std::env::var("BUCKWILD_KERNEL")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_default()
-            })
+/// The backend a `BUCKWILD_BACKEND` value selects. An unparsable value
+/// falls back to the default with a warning on stderr, so a typo in a CI
+/// matrix cannot quietly test `shared` twice.
+fn backend_from_env(value: Option<&str>) -> Backend {
+    match value.map(str::parse) {
+        Some(Ok(backend)) => backend,
+        Some(Err(e)) => {
+            eprintln!("buckwild: ignoring BUCKWILD_BACKEND: {e}");
+            Backend::default()
         }
+        None => Backend::default(),
     }
 }
 
@@ -236,12 +202,6 @@ impl std::error::Error for ConfigError {}
 pub struct SgdConfig {
     /// The training engine (shared atomic model vs sharded replicas).
     pub backend: Backend,
-    /// The kernel flavour executing the dot/AXPY inner loops.
-    ///
-    /// [`KernelFlavor::BitSerial`] trains dense fixed-point datasets
-    /// through the bit-weaved layout; float datasets and sparse data
-    /// fall back to the standard kernels (see `kernels::dispatch`).
-    pub kernel: KernelFlavor,
     /// For [`Backend::ShardedDelta`]: iterations between delta exchanges.
     pub delta_every: usize,
     /// The objective.
@@ -277,7 +237,6 @@ impl fmt::Debug for SgdConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SgdConfig")
             .field("backend", &self.backend)
-            .field("kernel", &self.kernel)
             .field("delta_every", &self.delta_every)
             .field("loss", &self.loss)
             .field("signature", &self.signature)
@@ -312,7 +271,6 @@ impl PartialEq for SgdConfig {
             _ => false,
         };
         self.backend == other.backend
-            && self.kernel == other.kernel
             && self.delta_every == other.delta_every
             && self.loss == other.loss
             && self.signature == other.signature
@@ -337,7 +295,6 @@ impl SgdConfig {
     pub fn new(loss: Loss) -> Self {
         SgdConfig {
             backend: default_backend(),
-            kernel: default_kernel(),
             delta_every: 16,
             loss,
             signature: Signature::full_precision(),
@@ -360,14 +317,6 @@ impl SgdConfig {
     #[must_use]
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Sets the kernel flavour. Overrides the process default installed
-    /// by [`set_default_kernel`] / `BUCKWILD_KERNEL`.
-    #[must_use]
-    pub fn kernel(mut self, kernel: KernelFlavor) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -608,13 +557,13 @@ mod tests {
     }
 
     #[test]
-    fn kernel_axis_mirrors_backend_axis() {
-        let c = SgdConfig::new(Loss::Logistic).kernel(KernelFlavor::BitSerial);
-        assert_eq!(c.kernel, KernelFlavor::BitSerial);
-        assert_eq!(c.validate(), Ok(()));
-        assert!(format!("{c:?}").contains("BitSerial"));
-        // The builder override differs from the untouched default config.
-        assert_ne!(c, SgdConfig::new(Loss::Logistic));
+    fn backend_env_value_parses_or_falls_back() {
+        assert_eq!(backend_from_env(Some("sharded")), Backend::ShardedDelta);
+        assert_eq!(backend_from_env(Some("shared")), Backend::SharedModel);
+        assert_eq!(backend_from_env(None), Backend::SharedModel);
+        // A typo and an empty value warn on stderr and select the default.
+        assert_eq!(backend_from_env(Some("shraded")), Backend::SharedModel);
+        assert_eq!(backend_from_env(Some("")), Backend::SharedModel);
     }
 
     #[test]

@@ -65,9 +65,10 @@
 //! [`predict`] (the unified [`Predictor`] scoring API shared by the
 //! metrics, the RFF classifier, and the `buckwild-serve` inference
 //! server, plus the [`QuantizedModel`] snapshot representation),
-//! [`obstinate`] (a software emulation of the paper's obstinate-cache
-//! staleness process, for the Figure 6f experiment), and [`rff`] (random
-//! Fourier features + one-vs-all SVMs, the Figure 7d/7e workload).
+//! [`chaos`] (the deterministic fault simulator, whose `obstinacy` knob
+//! emulates the paper's obstinate-cache staleness process for the Figure
+//! 6f experiment), and [`rff`] (random Fourier features + one-vs-all
+//! SVMs, the Figure 7d/7e workload).
 //!
 //! Serving: [`SgdConfig::on_snapshot`] publishes an epoch-tagged
 //! [`EpochSnapshot`] after every epoch on both backends — the hand-off
@@ -83,7 +84,6 @@ mod config;
 pub mod loss;
 pub mod metrics;
 pub mod model;
-pub mod obstinate;
 pub mod predict;
 pub mod prelude;
 pub mod rff;
@@ -95,8 +95,8 @@ mod words;
 
 pub use chaos::{ChaosReport, ChaosSgdConfig};
 pub use config::{
-    default_backend, default_kernel, set_default_backend, set_default_kernel, Backend, ConfigError,
-    EpochObserver, QuantizerConfig, SgdConfig, SnapshotObserver,
+    default_backend, set_default_backend, Backend, ConfigError, EpochObserver, QuantizerConfig,
+    SgdConfig, SnapshotObserver,
 };
 pub use loss::Loss;
 pub use metrics::{accuracy, mean_loss};
@@ -111,7 +111,7 @@ pub use buckwild_chaos::{
 };
 pub use buckwild_dmgc::Signature;
 pub use buckwild_fixed::Rounding;
-pub use buckwild_kernels::{isa as kernel_isa, KernelFlavor, KernelIsa};
+pub use buckwild_kernels::{isa as kernel_isa, KernelIsa};
 pub use buckwild_prng::PrngKind;
 pub use buckwild_trace::{
     fault_kind, NoopTracer, NoopWorkerTracer, Phase, RingTracer, SpanEvent, Trace, Tracer,

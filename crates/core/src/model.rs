@@ -15,12 +15,11 @@ use std::sync::atomic::{AtomicI16, AtomicI8, AtomicU32};
 use buckwild_dmgc::Signature;
 use buckwild_fixed::FixedSpec;
 use buckwild_kernels::optimized::FixedInt;
-use buckwild_kernels::weave::WeavedSlice;
 
 use crate::predict::QuantizedModel;
 use crate::words::{
-    AxpyF32, AxpyFixed, AxpySparseF32, AxpySparseFixed, AxpyWeaved, DotF32, DotFixed, DotSparseF32,
-    DotSparseFixed, DotWeaved, Op, Read, Snapshot, Word, Write,
+    AxpyF32, AxpyFixed, AxpySparseF32, AxpySparseFixed, DotF32, DotFixed, DotSparseF32,
+    DotSparseFixed, Op, Read, Snapshot, Word, Write,
 };
 
 /// Storage precision of the shared model — the `M` term of the signature.
@@ -249,23 +248,6 @@ impl SharedModel {
         self.apply(DotFixed(x, x_spec))
     }
 
-    /// Dense dot against a bit-weaved example served at `bits` planes.
-    ///
-    /// Each 64-element block is reconstructed plane-serially, then
-    /// accumulated in exactly the order and widths of
-    /// [`SharedModel::dot_fixed`] — so at full served precision the
-    /// result is bit-identical to the unweaved path, which is what the
-    /// trainer's bit-identity test pins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != len()` or `bits` exceeds the stored weave
-    /// precision.
-    #[must_use]
-    pub fn dot_weaved(&self, x: WeavedSlice<'_>, bits: u32) -> f32 {
-        self.apply(DotWeaved(x, bits))
-    }
-
     /// Dense dot against a float example.
     ///
     /// # Panics
@@ -338,36 +320,6 @@ impl SharedModel {
         offsets: &[i64; 8],
     ) {
         self.apply(AxpyFixed(a, x, x_spec, |i: usize| offsets[i & 7]));
-    }
-
-    /// Dense quantized AXPY from a bit-weaved example served at `bits`
-    /// planes — the weaved counterpart of [`SharedModel::axpy_fixed`],
-    /// with identical arithmetic once each block is reconstructed (so
-    /// full-precision serving is bit-identical to the unweaved path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != len()` or `bits` exceeds the stored weave
-    /// precision.
-    pub fn axpy_weaved(
-        &self,
-        a: f32,
-        x: WeavedSlice<'_>,
-        bits: u32,
-        offsets: &mut dyn FnMut(usize) -> i64,
-    ) {
-        self.apply(AxpyWeaved(a, x, bits, offsets));
-    }
-
-    /// [`SharedModel::axpy_weaved`] with a fixed 8-entry offset block —
-    /// the weaved counterpart of [`SharedModel::axpy_fixed_block`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != len()` or `bits` exceeds the stored weave
-    /// precision.
-    pub fn axpy_weaved_block(&self, a: f32, x: WeavedSlice<'_>, bits: u32, offsets: &[i64; 8]) {
-        self.apply(AxpyWeaved(a, x, bits, |i: usize| offsets[i & 7]));
     }
 
     /// Dense AXPY with float example data; fixed storage quantizes with

@@ -28,9 +28,8 @@
 use std::sync::Arc;
 
 use buckwild_fixed::FixedSpec;
-use buckwild_kernels::dispatch;
+use buckwild_kernels::optimized;
 
-use crate::config::default_kernel;
 use crate::model::{ModelPrecision, SharedModel};
 use crate::words::Word;
 use crate::Loss;
@@ -235,7 +234,7 @@ impl Predictor for [f32] {
     }
 
     fn score(&self, x: &[f32]) -> f32 {
-        dispatch::dot_f32_f32(default_kernel(), x, self)
+        optimized::dot_f32_f32(x, self)
     }
 
     fn score_sparse(&self, values: &[f32], indices: &[u32]) -> f32 {
@@ -253,7 +252,7 @@ impl Predictor for [f32] {
             self.len() * out.len(),
             "batch/model shape mismatch"
         );
-        dispatch::dot_batch_f32_f32(default_kernel(), batch, self, out);
+        optimized::dot_batch_f32_f32(batch, self, out);
     }
 }
 
@@ -263,11 +262,10 @@ impl Predictor for QuantizedModel {
     }
 
     fn score(&self, x: &[f32]) -> f32 {
-        let flavor = default_kernel();
         match &self.words {
-            FixedWords::F32(w) => dispatch::dot_f32_f32(flavor, x, w),
-            FixedWords::I16(w) => dispatch::dot_f32_fixed(flavor, x, w, &self.spec),
-            FixedWords::I8(w) => dispatch::dot_f32_fixed(flavor, x, w, &self.spec),
+            FixedWords::F32(w) => optimized::dot_f32_f32(x, w),
+            FixedWords::I16(w) => optimized::dot_f32_fixed(x, w, &self.spec),
+            FixedWords::I8(w) => optimized::dot_f32_fixed(x, w, &self.spec),
         }
     }
 
@@ -304,11 +302,10 @@ impl Predictor for QuantizedModel {
             self.len() * out.len(),
             "batch/model shape mismatch"
         );
-        let flavor = default_kernel();
         match &self.words {
-            FixedWords::F32(w) => dispatch::dot_batch_f32_f32(flavor, batch, w, out),
-            FixedWords::I16(w) => dispatch::dot_batch_f32_fixed(flavor, batch, w, &self.spec, out),
-            FixedWords::I8(w) => dispatch::dot_batch_f32_fixed(flavor, batch, w, &self.spec, out),
+            FixedWords::F32(w) => optimized::dot_batch_f32_f32(batch, w, out),
+            FixedWords::I16(w) => optimized::dot_batch_f32_fixed(batch, w, &self.spec, out),
+            FixedWords::I8(w) => optimized::dot_batch_f32_fixed(batch, w, &self.spec, out),
         }
     }
 }

@@ -17,13 +17,12 @@
 
 pub use crate::chaos::{ChaosReport, ChaosSgdConfig};
 pub use crate::config::{
-    default_backend, default_kernel, set_default_backend, set_default_kernel, Backend, ConfigError,
-    EpochObserver, QuantizerConfig, SgdConfig, SnapshotObserver,
+    default_backend, set_default_backend, Backend, ConfigError, EpochObserver, QuantizerConfig,
+    SgdConfig, SnapshotObserver,
 };
 pub use crate::loss::Loss;
 pub use crate::metrics::{accuracy, accuracy_sparse, mean_loss, mean_loss_sparse};
 pub use crate::model::{ModelPrecision, SharedModel};
-pub use crate::obstinate::ObstinateConfig;
 pub use crate::predict::{EpochSnapshot, FixedWords, Predictor, QuantizedModel};
 pub use crate::sync::{SyncFaultReport, SyncSgdConfig};
 pub use crate::train::{TrainControl, TrainData, TrainError, TrainProgress, TrainReport};
@@ -34,6 +33,5 @@ pub use buckwild_chaos::{
 };
 pub use buckwild_dmgc::Signature;
 pub use buckwild_fixed::Rounding;
-pub use buckwild_kernels::KernelFlavor;
 pub use buckwild_prng::PrngKind;
 pub use buckwild_trace::{NoopTracer, Phase, RingTracer, Trace, Tracer, WorkerTracer};

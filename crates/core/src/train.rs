@@ -25,8 +25,6 @@ use buckwild_dataset::{DenseDataset, Label, SparseDataset, SparseExample};
 use buckwild_fixed::{FixedSpec, Rounding};
 use buckwild_kernels::cost::QuantizerKind;
 use buckwild_kernels::optimized::FixedInt;
-use buckwild_kernels::weave::{self, WeavedMatrix, WeavedSlice, BLOCK};
-use buckwild_kernels::KernelFlavor;
 use buckwild_prng::{split_seed, Mt19937, Prng, XorshiftLanes};
 use buckwild_telemetry::{Counter, Gauge, Histogram, MetricsSnapshot, Recorder, ShardedRecorder};
 use buckwild_trace::{fault_kind, NoopTracer, Phase, Tracer, WorkerTracer};
@@ -35,8 +33,8 @@ use crate::config::{Backend, QuantizerConfig};
 use crate::predict::{EpochSnapshot, QuantizedModel};
 use crate::shard::ShardedState;
 use crate::words::{
-    AxpyF32, AxpyFixed, AxpySparseF32, AxpySparseFixed, AxpyWeaved, DotF32, DotFixed, DotSparseF32,
-    DotSparseFixed, DotWeaved, Op,
+    AxpyF32, AxpyFixed, AxpySparseF32, AxpySparseFixed, DotF32, DotFixed, DotSparseF32,
+    DotSparseFixed, Op,
 };
 use crate::{metrics, ConfigError, Loss, ModelPrecision, SgdConfig, SharedModel};
 
@@ -72,12 +70,6 @@ pub mod metric {
     /// worker spawn/join gets); this counter makes the cost visible
     /// instead of hidden.
     pub const SNAPSHOT_PUBLISH_NS: &str = "snapshot.publish_ns";
-    /// Counter: bit-weave encodings performed while preparing the
-    /// dataset ([`KernelFlavor::BitSerial`](buckwild_kernels::KernelFlavor)
-    /// runs only). One encoding serves every precision 1..=16, so this
-    /// stays at 1 per run however many precisions are read — the
-    /// zero-re-encode property the MLWeaving layout exists for.
-    pub const WEAVE_ENCODES: &str = "weave.encodes";
 }
 
 /// Error from [`SgdConfig::train`].
@@ -425,36 +417,6 @@ pub enum DenseQuant<'a> {
     F32(&'a DenseDataset<f32>),
     I16(Fixed<DenseDataset<i16>>),
     I8(Fixed<DenseDataset<i8>>),
-    Weaved(WeavedDense),
-}
-
-/// A dense fixed-point dataset in the bit-weaved layout: one
-/// [`WeavedMatrix`] of example rows plus the labels.
-///
-/// `pub` only because it appears in the sealed engine trait (like
-/// [`DenseQuant`]).
-#[doc(hidden)]
-pub struct WeavedDense {
-    matrix: WeavedMatrix,
-    labels: Vec<Label>,
-}
-
-impl WeavedDense {
-    /// Weaves an already-quantized dense dataset row by row.
-    ///
-    /// Quantizing first and weaving the resulting reprs keeps the stored
-    /// values bit-identical to the unweaved fixed path — the weave is a
-    /// re-layout, never a re-quantization.
-    fn build<D: FixedInt>(data: &DenseDataset<D>) -> Self {
-        let mut matrix = WeavedMatrix::new(data.examples(), data.features(), &data.spec());
-        for i in 0..data.examples() {
-            matrix.set_row(i, data.example(i));
-        }
-        WeavedDense {
-            matrix,
-            labels: data.labels().to_vec(),
-        }
-    }
 }
 
 #[doc(hidden)]
@@ -639,50 +601,6 @@ impl<D: FixedInt> DenseExamples for Fixed<DenseDataset<D>> {
         let qa = a * self.0.spec().quantum();
         for (sj, xj) in scratch.iter_mut().zip(x) {
             *sj += qa * xj.widen() as f32;
-        }
-    }
-}
-
-impl Examples for WeavedDense {
-    type Row<'r> = WeavedSlice<'r>;
-    type Batch = DenseBatch;
-
-    fn examples(&self) -> usize {
-        self.matrix.rows()
-    }
-    #[inline]
-    fn example(&self, i: usize) -> (WeavedSlice<'_>, Label) {
-        (self.matrix.row(i), self.labels[i])
-    }
-    #[inline]
-    fn numbers(&self, x: WeavedSlice<'_>) -> u64 {
-        x.len() as u64
-    }
-    #[inline]
-    fn dot<M: ModelStore>(&self, model: &mut M, x: WeavedSlice<'_>) -> f32 {
-        model.with_words(DotWeaved(x, x.spec().bits()))
-    }
-    #[inline]
-    fn axpy<M: ModelStore>(&self, model: &mut M, a: f32, x: WeavedSlice<'_>, rng: &mut QuantState) {
-        let bits = x.spec().bits();
-        match rng.block_offsets() {
-            Some(offs) => model.with_words(AxpyWeaved(a, x, bits, |j: usize| offs[j & 7])),
-            None => model.with_words(AxpyWeaved(a, x, bits, |j| rng.offset15(j))),
-        }
-    }
-}
-
-impl DenseExamples for WeavedDense {
-    #[inline]
-    fn accumulate(&self, scratch: &mut [f32], x: WeavedSlice<'_>, a: f32) {
-        let qa = a * x.spec().quantum();
-        let mut decoded = [0i32; BLOCK];
-        for b in 0..x.blocks() {
-            let filled = x.decode_block(b, x.spec().bits(), &mut decoded);
-            let base = b * BLOCK;
-            for (j, &xv) in decoded[..filled].iter().enumerate() {
-                scratch[base + j] += qa * xv as f32;
-            }
         }
     }
 }
@@ -946,13 +864,7 @@ impl sealed::Sealed for DenseDataset<f32> {
         let d = config.signature.dataset();
         match (d.bits(), d.is_float()) {
             (32, true) => DenseQuant::F32(self),
-            (16, false) if config.kernel == KernelFlavor::BitSerial => DenseQuant::Weaved(
-                WeavedDense::build(&self.quantize_i16(FixedSpec::unit_range(16))),
-            ),
             (16, false) => DenseQuant::I16(Fixed(self.quantize_i16(FixedSpec::unit_range(16)))),
-            (8, false) if config.kernel == KernelFlavor::BitSerial => DenseQuant::Weaved(
-                WeavedDense::build(&self.quantize_i8(FixedSpec::unit_range(8))),
-            ),
             (8, false) => DenseQuant::I8(Fixed(self.quantize_i8(FixedSpec::unit_range(8)))),
             _ => unreachable!("rejected by validate"),
         }
@@ -967,7 +879,6 @@ impl sealed::Sealed for DenseDataset<f32> {
             DenseQuant::F32(d) => worker_loop(*d, model, worker),
             DenseQuant::I16(d) => worker_loop(d, model, worker),
             DenseQuant::I8(d) => worker_loop(d, model, worker),
-            DenseQuant::Weaved(d) => worker_loop(d, model, worker),
         }
     }
 
@@ -1139,12 +1050,7 @@ impl SgdConfig {
             return Err(TrainError::EmptyDataset);
         }
         let precision = ModelPrecision::from_signature(&self.signature).expect("validated above");
-        let weave_before = weave::encodes();
         let prepared = data.prepare(self);
-        let weave_delta = weave::encodes().wrapping_sub(weave_before);
-        if weave_delta > 0 {
-            recorder.counter(metric::WEAVE_ENCODES).add(weave_delta);
-        }
         let n = data.model_features();
         Ok(match self.backend {
             Backend::SharedModel => {
@@ -1383,88 +1289,6 @@ mod tests {
             .train(&p.data)
             .unwrap();
         assert!((low.final_loss() - full.final_loss()).abs() < 0.05);
-    }
-
-    #[test]
-    fn bitserial_kernel_is_bit_identical_to_optimized_single_thread() {
-        // 70 features leaves a partial 64-element weave block, exercising
-        // the tail path. The weaved loop decodes the same quantized reprs
-        // the unweaved loop reads directly, so a single-threaded run must
-        // reproduce the default kernel's model exactly — at both dense
-        // fixed precisions and through the minibatch scratch path.
-        for sig in ["D8M8", "D16M16"] {
-            let p = generate::logistic_dense(70, 200, 21);
-            let base = || logistic_config().signature(sig.parse().unwrap());
-            let opt = base()
-                .kernel(KernelFlavor::Optimized)
-                .train(&p.data)
-                .unwrap();
-            let bits = base()
-                .kernel(KernelFlavor::BitSerial)
-                .train(&p.data)
-                .unwrap();
-            assert_eq!(opt.model(), bits.model(), "{sig} model diverged");
-            assert_eq!(opt.epoch_losses(), bits.epoch_losses(), "{sig}");
-
-            let opt_mb = base()
-                .kernel(KernelFlavor::Optimized)
-                .minibatch(8)
-                .train(&p.data)
-                .unwrap();
-            let bits_mb = base()
-                .kernel(KernelFlavor::BitSerial)
-                .minibatch(8)
-                .train(&p.data)
-                .unwrap();
-            assert_eq!(opt_mb.model(), bits_mb.model(), "{sig} minibatch");
-        }
-    }
-
-    #[test]
-    fn bitserial_sharded_single_worker_matches_shared() {
-        let p = generate::logistic_dense(70, 200, 22);
-        let base = || {
-            logistic_config()
-                .signature("D8M8".parse().unwrap())
-                .kernel(KernelFlavor::BitSerial)
-        };
-        let shared = base().train(&p.data).unwrap();
-        let sharded = base()
-            .backend(Backend::ShardedDelta)
-            .train(&p.data)
-            .unwrap();
-        assert_eq!(shared.model(), sharded.model());
-    }
-
-    #[test]
-    fn bitserial_hogwild_two_threads_converges() {
-        let p = generate::logistic_dense(64, 600, 8);
-        let report = logistic_config()
-            .signature("D8M8".parse().unwrap())
-            .kernel(KernelFlavor::BitSerial)
-            .threads(2)
-            .train(&p.data)
-            .unwrap();
-        assert!(report.final_loss() < 0.5, "loss {}", report.final_loss());
-    }
-
-    #[test]
-    fn one_weave_encoding_serves_the_whole_run() {
-        // The zero-re-encode property, observed end to end: a BitSerial
-        // run weaves the dataset exactly once, and non-weaved runs carry
-        // no `weave.encodes` metric at all.
-        let p = generate::logistic_dense(32, 120, 23);
-        let weaved = logistic_config()
-            .signature("D8M8".parse().unwrap())
-            .kernel(KernelFlavor::BitSerial)
-            .train(&p.data)
-            .unwrap();
-        assert_eq!(weaved.metrics().counter(metric::WEAVE_ENCODES), Some(1));
-        let plain = logistic_config()
-            .signature("D8M8".parse().unwrap())
-            .train(&p.data)
-            .unwrap();
-        assert_eq!(plain.metrics().counter(metric::WEAVE_ENCODES), None);
     }
 
     #[test]

@@ -26,7 +26,6 @@ use std::sync::atomic::{AtomicI16, AtomicI8, AtomicU32, Ordering};
 
 use buckwild_fixed::FixedSpec;
 use buckwild_kernels::optimized::{dot_fixed_fixed, FixedInt};
-use buckwild_kernels::weave::{WeavedSlice, BLOCK};
 
 use crate::predict::FixedWords;
 
@@ -305,30 +304,6 @@ impl<D: FixedInt> Op for DotFixed<'_, D> {
     }
 }
 
-/// `DotWeaved(x, bits)`: dense dot against a bit-weaved example served at
-/// `bits` planes. Each decoded 64-block is accumulated with [`DotFixed`]'s
-/// per-element step and the running sum carries across blocks, so at full
-/// served precision the result is bit-identical to the unweaved path.
-pub struct DotWeaved<'x>(pub WeavedSlice<'x>, pub u32);
-
-impl Op for DotWeaved<'_> {
-    type Out = f32;
-    fn run<W: Word, A: Words<W>>(self, w: A, spec: &FixedSpec) -> f32 {
-        let DotWeaved(x, bits) = self;
-        assert_eq!(x.len(), w.len(), "length mismatch");
-        let mut decoded = [0i32; BLOCK];
-        let mut sum = W::Wide::default();
-        for block in 0..x.blocks() {
-            let valid = x.decode_block(block, bits, &mut decoded);
-            let base = block * BLOCK;
-            for (j, &xv) in decoded[..valid].iter().enumerate() {
-                sum = W::mac(sum, xv, w.get(base + j));
-            }
-        }
-        W::fixed_dot(sum, x.spec().quantum(), spec)
-    }
-}
-
 /// `DotF32(x)`: dense dot against a float example.
 pub struct DotF32<'x>(pub &'x [f32]);
 
@@ -392,30 +367,6 @@ impl<D: FixedInt, F: FnMut(usize) -> i64> Op for AxpyFixed<'_, D, F> {
         for (i, xi) in (0..w.len()).zip(x) {
             let delta = W::delta(xi.widen(), gain, || offsets(i));
             w.set(i, w.get(i).add(delta));
-        }
-    }
-}
-
-/// `AxpyWeaved(a, x, bits, offsets)`: [`AxpyFixed`]'s per-element step
-/// over each decoded 64-block of a bit-weaved example, offsets indexed by
-/// global element position.
-pub struct AxpyWeaved<'x, F>(pub f32, pub WeavedSlice<'x>, pub u32, pub F);
-
-impl<F: FnMut(usize) -> i64> Op for AxpyWeaved<'_, F> {
-    type Out = ();
-    fn run<W: Word, A: Words<W>>(self, mut w: A, spec: &FixedSpec) {
-        let AxpyWeaved(a, x, bits, mut offsets) = self;
-        assert_eq!(x.len(), w.len(), "length mismatch");
-        let gain = W::gain(a, x.spec(), spec);
-        let mut decoded = [0i32; BLOCK];
-        for block in 0..x.blocks() {
-            let valid = x.decode_block(block, bits, &mut decoded);
-            let base = block * BLOCK;
-            for (j, &xv) in decoded[..valid].iter().enumerate() {
-                let i = base + j;
-                let delta = W::delta(xv, gain, || offsets(i));
-                w.set(i, w.get(i).add(delta));
-            }
         }
     }
 }

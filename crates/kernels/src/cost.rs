@@ -173,9 +173,9 @@ pub fn iteration_mix(
 
 /// [`iteration_mix`] for an explicit [`KernelIsa`] tier: the block width
 /// every lane-count term divides by tracks the tier's vector registers
-/// (128-bit for the autovectorized scalar fallback, 256 for AVX2, 512 for
-/// AVX-512). `KernelIsa::Avx2` is exactly [`iteration_mix`] — the model
-/// was calibrated against the paper's AVX2 sequences.
+/// (128-bit for the autovectorized scalar fallback, 256 for AVX2).
+/// `KernelIsa::Avx2` is exactly [`iteration_mix`] — the model was
+/// calibrated against the paper's AVX2 sequences.
 ///
 /// The bit-serial flavour's plane-pair AND/POPCNT work runs on 64-bit
 /// words at every tier, so only its model-side load fractions scale —
@@ -591,16 +591,7 @@ mod tests {
                 QuantizerKind::XorshiftShared,
                 KernelIsa::Avx2,
             );
-            let avx512 = estimate_gnps_isa(
-                &sig(s),
-                KernelFlavor::Optimized,
-                QuantizerKind::XorshiftShared,
-                KernelIsa::Avx512,
-            );
-            assert!(
-                scalar < avx2 && avx2 < avx512,
-                "{s}: {scalar} {avx2} {avx512}"
-            );
+            assert!(scalar < avx2, "{s}: {scalar} {avx2}");
         }
     }
 
@@ -615,13 +606,13 @@ mod tests {
             QuantizerKind::Biased,
             KernelIsa::Scalar,
         );
-        let bs_512 = estimate_gnps_isa(
+        let bs_avx2 = estimate_gnps_isa(
             &sig("D8M8"),
             KernelFlavor::BitSerial,
             QuantizerKind::Biased,
-            KernelIsa::Avx512,
+            KernelIsa::Avx2,
         );
-        assert!(bs_512 / bs_scalar < 1.5, "spread {}", bs_512 / bs_scalar);
+        assert!(bs_avx2 / bs_scalar < 1.5, "spread {}", bs_avx2 / bs_scalar);
     }
 
     #[test]

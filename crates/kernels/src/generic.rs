@@ -20,7 +20,6 @@ use buckwild_fixed::{FixedSpec, Rounding};
 ///
 /// Panics if `x.len() != w.len()`.
 #[must_use]
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot<D: Element, M: Element>(
     x: &[D],
     w: &[M],
@@ -43,7 +42,6 @@ pub fn dot<D: Element, M: Element>(
 /// # Panics
 ///
 /// Panics if `x.len() != w.len()`.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn axpy<D: Element, M: Element, F: FnMut() -> f32>(
     w: &mut [M],
     a: f32,

@@ -1,19 +1,18 @@
 //! Runtime CPU-feature probe and ISA selection for the SIMD kernels.
 //!
-//! The hand-vectorized kernels in `crate::simd` come in three tiers:
-//! the safe chunked-accumulator scalar code (always available, and the
-//! bit-identity reference), explicit AVX2 `std::arch` paths, and AVX-512
-//! widenings of the integer dot products. Which tier runs is decided
-//! **once per process** by [`active`]:
+//! The hand-vectorized kernels in `crate::simd` come in two tiers: the
+//! safe chunked-accumulator scalar code (always available, and the
+//! bit-identity reference) and explicit AVX2 `std::arch` paths. Which
+//! tier runs is decided **once per process** by [`active`]:
 //!
 //! 1. a live [`scoped`] override (tests and the per-ISA gate rows), then
 //! 2. the first [`set_active`] call (the `--isa` flag on every binary),
-//! 3. the `BUCKWILD_ISA` environment variable (`scalar`, `avx2`,
-//!    `avx512`, or `auto`),
+//! 3. the `BUCKWILD_ISA` environment variable (`scalar`, `avx2`, or
+//!    `auto`),
 //! 4. the hardware probe [`detected`].
 //!
-//! Requests are always clamped to [`detected`] — asking for `avx512` on
-//! an AVX2 machine selects AVX2, never an illegal instruction. Because
+//! Requests are always clamped to [`detected`] — asking for `avx2` on
+//! a machine without it selects scalar, never an illegal instruction. Because
 //! every SIMD path is bit-identical to the scalar kernels (integer paths
 //! are exact; float paths share one fixed 8-lane reduction order), the
 //! selection changes throughput only, never results.
@@ -30,15 +29,11 @@ pub enum KernelIsa {
     /// 256-bit `std::arch` paths (`vpmaddwd`-style integer MACs, 8-lane
     /// float dot/AXPY, `popcnt` plane reduction).
     Avx2,
-    /// 512-bit widening integer dot products where AVX-512F+BW are
-    /// available; float paths keep the AVX2 8-lane order so results stay
-    /// bit-identical across tiers.
-    Avx512,
 }
 
 impl KernelIsa {
     /// All tiers, narrowest first, for sweeps and per-ISA gate rows.
-    pub const ALL: [KernelIsa; 3] = [KernelIsa::Scalar, KernelIsa::Avx2, KernelIsa::Avx512];
+    pub const ALL: [KernelIsa; 2] = [KernelIsa::Scalar, KernelIsa::Avx2];
 
     /// Lowercase name, as accepted by `BUCKWILD_ISA` / `--isa` and
     /// recorded in the `hardware` block of the `BENCH_*.json` baselines.
@@ -47,7 +42,6 @@ impl KernelIsa {
         match self {
             KernelIsa::Scalar => "scalar",
             KernelIsa::Avx2 => "avx2",
-            KernelIsa::Avx512 => "avx512",
         }
     }
 
@@ -59,7 +53,6 @@ impl KernelIsa {
         match self {
             KernelIsa::Scalar => 128,
             KernelIsa::Avx2 => 256,
-            KernelIsa::Avx512 => 512,
         }
     }
 
@@ -67,7 +60,6 @@ impl KernelIsa {
         match v {
             1 => Some(KernelIsa::Scalar),
             2 => Some(KernelIsa::Avx2),
-            3 => Some(KernelIsa::Avx512),
             _ => None,
         }
     }
@@ -76,7 +68,6 @@ impl KernelIsa {
         match self {
             KernelIsa::Scalar => 1,
             KernelIsa::Avx2 => 2,
-            KernelIsa::Avx512 => 3,
         }
     }
 }
@@ -94,29 +85,21 @@ impl FromStr for KernelIsa {
         match s.to_ascii_lowercase().as_str() {
             "scalar" | "none" => Ok(KernelIsa::Scalar),
             "avx2" => Ok(KernelIsa::Avx2),
-            "avx512" | "avx-512" => Ok(KernelIsa::Avx512),
             "auto" | "native" => Ok(detected()),
             other => Err(format!(
-                "unknown ISA `{other}` (expected scalar, avx2, avx512, or auto)"
+                "unknown ISA `{other}` (expected scalar, avx2, or auto)"
             )),
         }
     }
 }
 
-/// Probes the hardware: the widest tier this CPU can execute.
-///
-/// AVX-512 requires both `avx512f` and `avx512bw` (the integer kernels
-/// use 512-bit `vpmaddwd`/byte-wide ops from the BW extension). The
-/// result is cached by `std`'s feature-detection layer.
+/// Probes the hardware: the widest tier this CPU can execute. The result
+/// is cached by `std`'s feature-detection layer.
 #[must_use]
 pub fn detected() -> KernelIsa {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-        {
-            KernelIsa::Avx512
-        } else if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx2") {
             KernelIsa::Avx2
         } else {
             KernelIsa::Scalar
@@ -218,7 +201,8 @@ mod tests {
             assert_eq!(isa.name().parse::<KernelIsa>().unwrap(), isa);
         }
         assert!("quantum".parse::<KernelIsa>().is_err());
-        assert_eq!("AVX-512".parse::<KernelIsa>().unwrap(), KernelIsa::Avx512);
+        assert_eq!("AVX2".parse::<KernelIsa>().unwrap(), KernelIsa::Avx2);
+        assert!("avx512".parse::<KernelIsa>().is_err());
         assert_eq!("auto".parse::<KernelIsa>().unwrap(), detected());
     }
 
@@ -226,9 +210,7 @@ mod tests {
     fn widths_are_monotone() {
         assert_eq!(KernelIsa::Scalar.simd_width_bits(), 128);
         assert_eq!(KernelIsa::Avx2.simd_width_bits(), 256);
-        assert_eq!(KernelIsa::Avx512.simd_width_bits(), 512);
         assert!(KernelIsa::Scalar < KernelIsa::Avx2);
-        assert!(KernelIsa::Avx2 < KernelIsa::Avx512);
     }
 
     #[test]
@@ -240,8 +222,8 @@ mod tests {
             let _outer = scoped(KernelIsa::Scalar);
             assert_eq!(active(), KernelIsa::Scalar);
             {
-                let _inner = scoped(KernelIsa::Avx512);
-                assert_eq!(active(), KernelIsa::Avx512.min(detected()));
+                let _inner = scoped(KernelIsa::Avx2);
+                assert_eq!(active(), KernelIsa::Avx2.min(detected()));
             }
             assert_eq!(active(), KernelIsa::Scalar);
         }

@@ -30,11 +30,11 @@
 //!   the bit-serial kernels, used to reproduce the proxy-instruction
 //!   experiments and classify where bit-serial wins.
 //!
-//! [`KernelFlavor`] names the implementation used, so higher layers sweep
-//! it as an experimental axis, and [`dispatch`] is the single routing
-//! table from `(flavour, operand types)` to the executing kernel — out-of-
-//! crate callers go through it rather than picking free functions from the
-//! per-flavour modules.
+//! The free functions of those modules are the API: the training engine
+//! and the `Predictor` call `optimized::*` / `sparse::*` directly.
+//! [`KernelFlavor`] names an implementation for the kernel-level
+//! comparison (Figure 4, §6.1), and [`dispatch`] holds the two
+//! flavour-routed dots a comparison harness sweeps it through.
 //!
 //! # Example
 //!

@@ -84,7 +84,6 @@ const DOT_BLOCK: usize = 32;
 ///
 /// Panics if `x.len() != w.len()`.
 #[must_use]
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_fixed_fixed<D: FixedInt, M: FixedInt>(
     x: &[D],
     w: &[M],
@@ -140,28 +139,24 @@ pub fn dot_fixed_fixed<D: FixedInt, M: FixedInt>(
 
 /// `dot_fixed_fixed` for the paper's flagship D8M8 pair.
 #[must_use]
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_i8_i8(x: &[i8], w: &[i8], x_spec: &FixedSpec, w_spec: &FixedSpec) -> f32 {
     dot_fixed_fixed(x, w, x_spec, w_spec)
 }
 
 /// `dot_fixed_fixed` for D8M16.
 #[must_use]
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_i8_i16(x: &[i8], w: &[i16], x_spec: &FixedSpec, w_spec: &FixedSpec) -> f32 {
     dot_fixed_fixed(x, w, x_spec, w_spec)
 }
 
 /// `dot_fixed_fixed` for D16M8.
 #[must_use]
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_i16_i8(x: &[i16], w: &[i8], x_spec: &FixedSpec, w_spec: &FixedSpec) -> f32 {
     dot_fixed_fixed(x, w, x_spec, w_spec)
 }
 
 /// `dot_fixed_fixed` for D16M16.
 #[must_use]
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_i16_i16(x: &[i16], w: &[i16], x_spec: &FixedSpec, w_spec: &FixedSpec) -> f32 {
     dot_fixed_fixed(x, w, x_spec, w_spec)
 }
@@ -173,7 +168,6 @@ pub fn dot_i16_i16(x: &[i16], w: &[i16], x_spec: &FixedSpec, w_spec: &FixedSpec)
 ///
 /// Panics if `x.len() != w.len()`.
 #[must_use]
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_f32_f32(x: &[f32], w: &[f32]) -> f32 {
     assert_eq!(x.len(), w.len(), "length mismatch");
     if let Some(total) = simd::dot_f32_f32(x, w) {
@@ -200,7 +194,6 @@ pub fn dot_f32_f32(x: &[f32], w: &[f32]) -> f32 {
 ///
 /// Panics if `x.len() != w.len()`.
 #[must_use]
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_fixed_f32<D: FixedInt>(x: &[D], w: &[f32], x_spec: &FixedSpec) -> f32 {
     assert_eq!(x.len(), w.len(), "length mismatch");
     if let Some(xs) = D::as_i8s(x) {
@@ -233,7 +226,6 @@ pub fn dot_fixed_f32<D: FixedInt>(x: &[D], w: &[f32], x_spec: &FixedSpec) -> f32
 ///
 /// Panics if `x.len() != w.len()`.
 #[must_use]
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_f32_fixed<M: FixedInt>(x: &[f32], w: &[M], w_spec: &FixedSpec) -> f32 {
     assert_eq!(x.len(), w.len(), "length mismatch");
     if let Some(ws) = M::as_i8s(w) {
@@ -285,7 +277,6 @@ fn simd_batch4_f32_fixed<M: FixedInt>(rows: [&[f32]; 4], w: &[M]) -> Option<[f32
 /// # Panics
 ///
 /// Panics if `batch.len() != w.len() * out.len()`.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_batch_f32_fixed<M: FixedInt>(
     batch: &[f32],
     w: &[M],
@@ -351,7 +342,6 @@ pub fn dot_batch_f32_fixed<M: FixedInt>(
 /// # Panics
 ///
 /// Panics if `batch.len() != w.len() * out.len()`.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_batch_f32_f32(batch: &[f32], w: &[f32], out: &mut [f32]) {
     let n = w.len();
     assert_eq!(batch.len(), n * out.len(), "batch/model shape mismatch");
@@ -541,7 +531,6 @@ fn simd_axpy_offsets<D: FixedInt, M: FixedInt>(
 /// # Panics
 ///
 /// Panics if `x.len() != w.len()`.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn axpy_fixed_fixed<D: FixedInt, M: FixedInt>(
     w: &mut [M],
     a: f32,
@@ -597,7 +586,6 @@ pub fn axpy_fixed_fixed<D: FixedInt, M: FixedInt>(
 }
 
 /// `axpy_fixed_fixed` for D8M8.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn axpy_i8_i8(
     w: &mut [i8],
     a: f32,
@@ -610,7 +598,6 @@ pub fn axpy_i8_i8(
 }
 
 /// `axpy_fixed_fixed` for D8M16.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn axpy_i8_i16(
     w: &mut [i16],
     a: f32,
@@ -623,7 +610,6 @@ pub fn axpy_i8_i16(
 }
 
 /// `axpy_fixed_fixed` for D16M8.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn axpy_i16_i8(
     w: &mut [i8],
     a: f32,
@@ -636,7 +622,6 @@ pub fn axpy_i16_i8(
 }
 
 /// `axpy_fixed_fixed` for D16M16.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn axpy_i16_i16(
     w: &mut [i16],
     a: f32,
@@ -653,7 +638,6 @@ pub fn axpy_i16_i16(
 /// # Panics
 ///
 /// Panics if `x.len() != w.len()`.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn axpy_f32_f32(w: &mut [f32], a: f32, x: &[f32]) {
     assert_eq!(x.len(), w.len(), "length mismatch");
     if simd::axpy_f32_f32(w, a, x) {
@@ -669,7 +653,6 @@ pub fn axpy_f32_f32(w: &mut [f32], a: f32, x: &[f32]) {
 /// # Panics
 ///
 /// Panics if `x.len() != w.len()`.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn axpy_fixed_f32<D: FixedInt>(w: &mut [f32], a: f32, x: &[D], x_spec: &FixedSpec) {
     assert_eq!(x.len(), w.len(), "length mismatch");
     let scale = a * x_spec.quantum();
@@ -689,7 +672,6 @@ pub fn axpy_fixed_f32<D: FixedInt>(w: &mut [f32], a: f32, x: &[D], x_spec: &Fixe
 /// # Panics
 ///
 /// Panics if `x.len() != w.len()`.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn axpy_f32_fixed<M: FixedInt>(
     w: &mut [M],
     a: f32,

@@ -11,9 +11,8 @@
 //!   addition is associative, so lane order is free;
 //! * float kernels replicate the scalar code's operation sequence per
 //!   lane (separate `mul` + `add`, never FMA) and its fixed 8-lane
-//!   horizontal reduction order, on every tier — AVX-512 widens only the
-//!   integer dot products, precisely so float results never depend on
-//!   the machine;
+//!   horizontal reduction order, so float results never depend on the
+//!   machine;
 //! * the integer AXPY packs with signed saturation
 //!   (`vpackssdw`/`vpacksswb`), which is exactly the scalar
 //!   `saturate_i32` clamp.
@@ -102,12 +101,9 @@ pub(crate) fn dot_i8_i8(x: &[i8], w: &[i8]) -> Option<i64> {
     debug_assert_eq!(x.len(), w.len());
     #[cfg(target_arch = "x86_64")]
     {
-        match vector_tier()? {
-            // SAFETY: tier confirmed by the runtime probe.
-            KernelIsa::Avx2 => Some(unsafe { x86::dot_i8_i8_avx2(x, w) }),
-            KernelIsa::Avx512 => Some(unsafe { x86::dot_i8_i8_avx512(x, w) }),
-            KernelIsa::Scalar => None,
-        }
+        let _ = vector_tier()?;
+        // SAFETY: any vector tier implies AVX2.
+        Some(unsafe { x86::dot_i8_i8_avx2(x, w) })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -122,11 +118,8 @@ pub(crate) fn dot_i16_i16(x: &[i16], w: &[i16]) -> Option<i64> {
     debug_assert_eq!(x.len(), w.len());
     #[cfg(target_arch = "x86_64")]
     {
-        // AVX-512 shares the AVX2 widening-multiply path: the exactness
-        // argument (products ≤ 2^30 in i32, accumulated in i64) is
-        // width-independent and the 256-bit form is already ALU-bound.
         let _ = vector_tier()?;
-        // SAFETY: any vector tier implies AVX2 per the probe ordering.
+        // SAFETY: any vector tier implies AVX2.
         Some(unsafe { x86::dot_i16_i16_avx2(x, w) })
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -427,38 +420,6 @@ mod x86 {
             }
             done += batch;
             total += hsum_epi32_i64(acc);
-        }
-        while i < n {
-            total += i64::from(x[i]) * i64::from(w[i]);
-            i += 1;
-        }
-        total
-    }
-
-    /// 512-bit widening of the D8M8 dot: one `vpmovsxbw` + `vpmaddwd`
-    /// covers 32 bytes per step with a single 16-lane i32 accumulator
-    /// (growth ≤ 2^15 per step, flushed every [`I8_FLUSH`] steps).
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn dot_i8_i8_avx512(x: &[i8], w: &[i8]) -> i64 {
-        const STEP: usize = 32;
-        let n = x.len();
-        let blocks = n / STEP;
-        let mut total = 0i64;
-        let mut i = 0usize;
-        let mut done = 0usize;
-        while done < blocks {
-            let batch = (blocks - done).min(I8_FLUSH);
-            let mut acc = _mm512_setzero_si512();
-            for _ in 0..batch {
-                let xv = _mm512_cvtepi8_epi16(_mm256_loadu_si256(x.as_ptr().add(i).cast()));
-                let wv = _mm512_cvtepi8_epi16(_mm256_loadu_si256(w.as_ptr().add(i).cast()));
-                acc = _mm512_add_epi32(acc, _mm512_madd_epi16(xv, wv));
-                i += STEP;
-            }
-            done += batch;
-            let mut lanes = [0i32; 16];
-            _mm512_storeu_si512(lanes.as_mut_ptr().cast(), acc);
-            total += lanes.iter().map(|&l| i64::from(l)).sum::<i64>();
         }
         while i < n {
             total += i64::from(x[i]) * i64::from(w[i]);

@@ -20,7 +20,6 @@ use crate::AxpyRand;
 ///
 /// Panics if `values.len() != indices.len()` or any index is out of range.
 #[must_use]
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_generic<D: Element, I: IndexElement, M: Element>(
     values: &[D],
     indices: &[I],
@@ -42,7 +41,6 @@ pub fn dot_generic<D: Element, I: IndexElement, M: Element>(
 ///
 /// Panics if `values.len() != indices.len()` or any index is out of range.
 #[allow(clippy::too_many_arguments)] // mirrors the dense kernel signature plus the index stream
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn axpy_generic<D: Element, I: IndexElement, M: Element, F: FnMut() -> f32>(
     w: &mut [M],
     a: f32,
@@ -68,7 +66,6 @@ pub fn axpy_generic<D: Element, I: IndexElement, M: Element, F: FnMut() -> f32>(
 ///
 /// Panics if `values.len() != indices.len()` or any index is out of range.
 #[must_use]
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_fixed_fixed<D: FixedInt, I: IndexElement, M: FixedInt>(
     values: &[D],
     indices: &[I],
@@ -105,7 +102,6 @@ pub fn dot_fixed_fixed<D: FixedInt, I: IndexElement, M: FixedInt>(
 /// # Panics
 ///
 /// Panics if `values.len() != indices.len()` or any index is out of range.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn axpy_fixed_fixed<D: FixedInt, I: IndexElement, M: FixedInt>(
     w: &mut [M],
     a: f32,
@@ -154,7 +150,6 @@ pub fn axpy_fixed_fixed<D: FixedInt, I: IndexElement, M: FixedInt>(
 ///
 /// Panics if a decoded index falls outside `w`.
 #[must_use]
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn dot_delta<D: FixedInt, I: IndexElement, M: FixedInt>(
     example: &buckwild_dataset::DeltaExample<D, I>,
     w: &[M],
@@ -173,7 +168,6 @@ pub fn dot_delta<D: FixedInt, I: IndexElement, M: FixedInt>(
 /// # Panics
 ///
 /// Panics if a decoded index falls outside `w`.
-#[doc(hidden)] // route through `crate::dispatch` outside this crate
 pub fn axpy_delta<D: FixedInt, I: IndexElement, M: FixedInt>(
     w: &mut [M],
     a: f32,

@@ -48,8 +48,7 @@ thread_local! {
 /// Incremented once per [`WeavedVec::encode`] and once per
 /// [`WeavedMatrix::new`] (row updates via [`WeavedMatrix::set_row`] do
 /// not count — the point of the layout is that one encode serves every
-/// precision). Trainers snapshot a before/after delta around dataset
-/// preparation and surface it as the `weave.encodes` telemetry counter.
+/// precision).
 #[must_use]
 pub fn encodes() -> u64 {
     ENCODES.with(Cell::get)

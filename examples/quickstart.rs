@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run --release --example quickstart
 //! cargo run --release --example quickstart -- --backend sharded
-//! cargo run --release --example quickstart -- --kernel bitserial
 //! cargo run --release --example quickstart -- --isa scalar
 //! cargo run --release --example quickstart -- --trace /tmp/quickstart.json
 //! cargo run --release --example quickstart -- --metrics-addr 127.0.0.1:9187
@@ -15,9 +14,6 @@
 //! flagship D8M8 signature, and compares quality and throughput. With
 //! `--backend sharded`, workers train on private per-core model replicas
 //! synchronized over delta rings instead of one shared atomic model. With
-//! `--kernel bitserial`, the fixed-point runs store the dataset in the
-//! plane-major MLWeaving layout and run the bit-serial kernels (the
-//! float run is unaffected — floats have no integer bit planes). With
 //! `--trace <path>`, the runs are traced and their merged span timeline is
 //! written as Chrome trace-event JSON (load it in `chrome://tracing` or
 //! Perfetto); a per-phase self-time summary prints to stderr. With
@@ -39,7 +35,6 @@ use buckwild_telemetry::{Recorder, ShardedRecorder};
 struct Args {
     trace_path: Option<String>,
     backend: Backend,
-    kernel: Option<KernelFlavor>,
     metrics_addr: Option<String>,
     obs_log: Option<String>,
 }
@@ -48,7 +43,6 @@ fn parse_args() -> Args {
     let mut parsed = Args {
         trace_path: None,
         backend: Backend::SharedModel,
-        kernel: None,
         metrics_addr: None,
         obs_log: None,
     };
@@ -73,20 +67,6 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 }
             },
-            "--kernel" => match args.next().map(|v| v.parse()) {
-                Some(Ok(flavor)) => parsed.kernel = Some(flavor),
-                Some(Err(e)) => {
-                    eprintln!("quickstart: {e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!(
-                        "quickstart: --kernel requires `generic`, `optimized`, `proposed`, \
-                         or `bitserial`"
-                    );
-                    std::process::exit(2);
-                }
-            },
             "--isa" => match args.next().map(|v| v.parse::<buckwild::KernelIsa>()) {
                 Some(Ok(isa)) => {
                     let _ = buckwild::kernel_isa::set_active(isa);
@@ -96,7 +76,7 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 }
                 None => {
-                    eprintln!("quickstart: --isa requires `scalar`, `avx2`, `avx512`, or `auto`");
+                    eprintln!("quickstart: --isa requires `scalar`, `avx2`, or `auto`");
                     std::process::exit(2);
                 }
             },
@@ -118,8 +98,7 @@ fn parse_args() -> Args {
                 eprintln!("quickstart: unrecognized argument `{other}`");
                 eprintln!(
                     "usage: quickstart [--backend {{shared,sharded}}] \
-                     [--kernel {{generic,optimized,proposed,bitserial}}] \
-                     [--isa {{scalar,avx2,avx512,auto}}] [--trace <path>] \
+                     [--isa {{scalar,avx2,auto}}] [--trace <path>] \
                      [--metrics-addr <host:port>] [--obs-log <path>]"
                 );
                 std::process::exit(2);
@@ -133,7 +112,6 @@ fn main() {
     let Args {
         trace_path,
         backend,
-        kernel,
         metrics_addr,
         obs_log,
     } = parse_args();
@@ -142,11 +120,9 @@ fn main() {
     println!("generating logistic regression problem: n = {n}, m = {m}");
     let problem = generate::logistic_dense(n, m, 42);
 
-    let flavor = kernel.unwrap_or_else(default_kernel);
-    println!("backend: {backend}, kernel: {flavor}");
+    println!("backend: {backend}");
     let base = SgdConfig::new(Loss::Logistic)
         .backend(backend)
-        .kernel(flavor)
         .step_size(0.15)
         .step_decay(0.8)
         .epochs(12)

@@ -213,7 +213,6 @@ fn prelude_exposes_the_full_training_surface() {
     let _: Option<SgdConfig> = None;
     let _: Option<SyncSgdConfig> = None;
     let _: Option<ChaosSgdConfig> = None;
-    let _: Option<ObstinateConfig> = None;
     let _: Option<ChaosReport> = None;
     let _: Option<SyncFaultReport> = None;
     let _: Option<TrainReport> = None;

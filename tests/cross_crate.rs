@@ -1,7 +1,7 @@
 //! Cross-crate integration: the DMGC model, cache simulator, FPGA model,
 //! and training engine agree with each other and with the paper's claims.
 
-use buckwild::{Loss, SgdConfig, Signature};
+use buckwild::{ChaosSgdConfig, FaultPlan, Loss, SgdConfig, Signature};
 use buckwild_cachesim::{Machine, SgdWorkload, SimConfig};
 use buckwild_dataset::generate;
 use buckwild_dmgc::{AmdahlParams, PerfModel};
@@ -73,15 +73,20 @@ fn obstinate_cache_is_a_safe_win_on_small_models() {
     assert!(obstinate.cycles < base.cycles, "no hardware win");
 
     let problem = generate::logistic_dense(64, 600, 37);
-    let mut config = buckwild::obstinate::ObstinateConfig::new(Loss::Logistic, 0.5);
-    config.epochs = 6;
-    let stale_losses = config.train(&problem.data).expect("valid config");
-    let mut base_config = buckwild::obstinate::ObstinateConfig::new(Loss::Logistic, 0.0);
-    base_config.epochs = 6;
-    let base_losses = base_config.train(&problem.data).expect("valid config");
+    let final_loss = |q| {
+        ChaosSgdConfig::new(Loss::Logistic, FaultPlan::new(0).obstinacy(q))
+            .threads(2)
+            .step_size(0.3)
+            .step_decay(0.9)
+            .epochs(6)
+            .train(&problem.data)
+            .expect("valid config")
+            .final_loss()
+    };
+    let (stale, base) = (final_loss(0.5), final_loss(0.0));
     assert!(
-        stale_losses.last().unwrap() < &(base_losses.last().unwrap() + 0.1),
-        "statistical cost detected: {stale_losses:?} vs {base_losses:?}"
+        stale < base + 0.1,
+        "statistical cost detected: {stale} vs {base}"
     );
 }
 

@@ -122,13 +122,12 @@ enum Layout {
     Sparse,
 }
 
-fn config(loss: Loss, sig: &str, backend: Backend, kernel: KernelFlavor) -> SgdConfig {
+fn config(loss: Loss, sig: &str, backend: Backend) -> SgdConfig {
     // Least squares needs a step under 2 / |x|^2 (|x|^2 is about 23 for
     // the dense rows); the hinge step is bounded by construction.
     let step = if loss == Loss::Hinge { 0.25 } else { 0.03125 };
     SgdConfig::new(loss)
         .backend(backend)
-        .kernel(kernel)
         .signature(sig.parse().unwrap())
         .step_size(step)
         .step_decay(0.5)
@@ -153,7 +152,6 @@ fn row_hash(
     layout: Layout,
     sig: &str,
     backend: Backend,
-    kernel: KernelFlavor,
     plan: Option<&FaultPlan>,
     cases: &mut Vec<String>,
 ) -> u64 {
@@ -165,7 +163,7 @@ fn row_hash(
                 QuantizerKind::XorshiftFresh,
                 QuantizerKind::XorshiftShared,
             ] {
-                let config = config(loss, sig, backend, kernel)
+                let config = config(loss, sig, backend)
                     .minibatch(minibatch)
                     .quantizer(quantizer);
                 let h = report_hash(&train(layout, &config, plan));
@@ -183,8 +181,7 @@ const SIGNATURES: [&str; 4] = ["D32fM32f", "D16M16", "D8M8", "D8M16"];
 
 /// Recorded from the engine with ten worker functions and two epoch
 /// drivers. A refactor must not touch these; an intended arithmetic change
-/// must say which rows it moves and why. Each pin holds on both backends
-/// and, for dense fixed-point data, under both kernel flavours.
+/// must say which rows it moves and why. Each pin holds on both backends.
 const PINS: &[(&str, u64)] = &[
     ("dense/D32fM32f", 0x38e2_3749_eb3d_36fe),
     ("dense/D16M16", 0x1068_8b4c_6b55_df53),
@@ -222,22 +219,14 @@ fn seeded_trajectories_match_recorded_pins() {
     for (name, layout, sig, plan) in &rows {
         let want = PINS.iter().find(|(n, _)| n == name).map(|&(_, h)| h);
         for backend in [Backend::SharedModel, Backend::ShardedDelta] {
-            for kernel in [KernelFlavor::Optimized, KernelFlavor::BitSerial] {
-                // The bit-weaved layout only exists for dense fixed-point
-                // data; elsewhere BitSerial falls back to Optimized.
-                let weaves = *layout == Layout::Dense && *sig != "D32fM32f";
-                if kernel == KernelFlavor::BitSerial && !weaves {
-                    continue;
-                }
-                let mut cases = Vec::new();
-                let got = row_hash(*layout, sig, backend, kernel, *plan, &mut cases);
-                if want != Some(got) {
-                    mismatches.push_str(&format!(
-                        "(\"{name}\", {got:#018x}) on {backend}/{kernel}, pinned {want:x?}; \
-                         per-case hashes now:\n{}\n",
-                        cases.join("\n")
-                    ));
-                }
+            let mut cases = Vec::new();
+            let got = row_hash(*layout, sig, backend, *plan, &mut cases);
+            if want != Some(got) {
+                mismatches.push_str(&format!(
+                    "(\"{name}\", {got:#018x}) on {backend}, pinned {want:x?}; \
+                     per-case hashes now:\n{}\n",
+                    cases.join("\n")
+                ));
             }
         }
     }
