@@ -11,11 +11,11 @@
 //!    `auto`),
 //! 4. the hardware probe [`detected`].
 //!
-//! Requests are always clamped to [`detected`] — asking for `avx2` on
-//! a machine without it selects scalar, never an illegal instruction. Because
-//! every SIMD path is bit-identical to the scalar kernels (integer paths
-//! are exact; float paths share one fixed 8-lane reduction order), the
-//! selection changes throughput only, never results.
+//! Requests are always clamped to [`detected`] — asking for `avx2` on a
+//! machine without it selects scalar, never an illegal instruction.
+//! Because every SIMD path is bit-identical to the scalar kernels (integer
+//! paths are exact; float paths share one fixed 8-lane reduction order),
+//! the selection changes throughput only, never results.
 
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU8, Ordering};

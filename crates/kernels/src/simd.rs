@@ -84,14 +84,11 @@ impl Reinterpret for i16 {
 
 impl Reinterpret for i32 {}
 
-/// True when the active tier has vector paths at all (shared gate for
+/// `Some` when the active tier has vector paths at all (shared gate for
 /// the wrappers below).
 #[inline]
-fn vector_tier() -> Option<KernelIsa> {
-    match isa::active() {
-        KernelIsa::Scalar => None,
-        tier => Some(tier),
-    }
+fn vector_tier() -> Option<()> {
+    (isa::active() != KernelIsa::Scalar).then_some(())
 }
 
 /// Raw i8×i8 dot product total (pre-quantum). `None` → scalar fallback.
@@ -101,7 +98,7 @@ pub(crate) fn dot_i8_i8(x: &[i8], w: &[i8]) -> Option<i64> {
     debug_assert_eq!(x.len(), w.len());
     #[cfg(target_arch = "x86_64")]
     {
-        let _ = vector_tier()?;
+        vector_tier()?;
         // SAFETY: any vector tier implies AVX2.
         Some(unsafe { x86::dot_i8_i8_avx2(x, w) })
     }
@@ -118,7 +115,7 @@ pub(crate) fn dot_i16_i16(x: &[i16], w: &[i16]) -> Option<i64> {
     debug_assert_eq!(x.len(), w.len());
     #[cfg(target_arch = "x86_64")]
     {
-        let _ = vector_tier()?;
+        vector_tier()?;
         // SAFETY: any vector tier implies AVX2.
         Some(unsafe { x86::dot_i16_i16_avx2(x, w) })
     }
@@ -135,7 +132,7 @@ pub(crate) fn dot_f32_f32(x: &[f32], w: &[f32]) -> Option<f32> {
     debug_assert_eq!(x.len(), w.len());
     #[cfg(target_arch = "x86_64")]
     {
-        let _ = vector_tier()?;
+        vector_tier()?;
         // SAFETY: any vector tier implies AVX2.
         Some(unsafe { x86::dot_f32_f32_avx2(x, w) })
     }
@@ -154,7 +151,7 @@ macro_rules! mixed_dot_wrapper {
             debug_assert_eq!(x.len(), w.len());
             #[cfg(target_arch = "x86_64")]
             {
-                let _ = vector_tier()?;
+                vector_tier()?;
                 // SAFETY: any vector tier implies AVX2.
                 Some(unsafe { x86::$imp(x, w) })
             }
@@ -172,7 +169,7 @@ macro_rules! mixed_dot_wrapper {
             debug_assert_eq!(x.len(), w.len());
             #[cfg(target_arch = "x86_64")]
             {
-                let _ = vector_tier()?;
+                vector_tier()?;
                 // SAFETY: any vector tier implies AVX2.
                 Some(unsafe { x86::$imp(x, w) })
             }
@@ -209,7 +206,7 @@ macro_rules! batch4_wrapper {
         pub(crate) fn $name(rows: [&[f32]; 4], w: &[$model]) -> Option<[f32; 4]> {
             #[cfg(target_arch = "x86_64")]
             {
-                let _ = vector_tier()?;
+                vector_tier()?;
                 // SAFETY: any vector tier implies AVX2.
                 Some(unsafe { x86::$imp(rows, w) })
             }
@@ -343,7 +340,7 @@ pub(crate) fn weave_dot_planes(
 ) -> Option<i64> {
     #[cfg(target_arch = "x86_64")]
     {
-        let _ = vector_tier()?;
+        vector_tier()?;
         if !isa::popcnt_detected() {
             return None;
         }
