@@ -319,7 +319,6 @@ mod tests {
         assert!(parse(args(&["--backend", "mongodb"])).is_err());
         assert!(parse(args(&["--isa"])).is_err());
         assert!(parse(args(&["--isa", "quantum"])).is_err());
-        assert!(parse(args(&["--isa", "avx512"])).is_err());
     }
 
     #[test]
