@@ -1,9 +1,9 @@
 //! Best-effort CPU affinity and hardware interrogation.
 //!
 //! The shard-per-core backend wants each worker parked on its own core so
-//! a shard's cache lines never migrate; the bench gate wants to stamp its
-//! JSON with the topology it ran on so trajectories across machines are
-//! interpretable. Both live here, in the one crate of the workspace that
+//! a shard's cache lines never migrate; the watchdog post-mortem wants to
+//! stamp its preamble with the topology it ran on so bundles from different
+//! machines are interpretable. Both live here, in the one crate of the workspace that
 //! is allowed a single, tightly scoped `unsafe` block: the raw
 //! `sched_setaffinity` syscall on x86-64 Linux. There is no libc in the
 //! dependency-free workspace, so the syscall is issued directly; on every

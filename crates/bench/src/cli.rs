@@ -1,30 +1,42 @@
-//! Shared command-line handling for the experiment binaries.
+//! The `buckwild-bench` command line.
 //!
-//! Every binary under `src/bin/` accepts the same flags:
+//! ```text
+//! buckwild-bench <experiment> [flags]   one entry of the registry
+//! buckwild-bench all [flags]            every entry, in paper order
+//! buckwild-bench serve [flags]          load generator (see `serve`)
+//! buckwild-bench watchdog [flags]       post-mortem run (see `watchdog`)
+//! ```
+//!
+//! Dispatch, `all` and the usage text all read [`REGISTRY`]. Every
+//! experiment accepts the same flags:
 //!
 //! * `--format {text,json}` — stdout rendering (default `text`, the
 //!   classic aligned tables; `json` prints the [`ExperimentResult`]
-//!   document described in README.md).
+//!   document described in README.md, or an array of them for `all`).
 //! * `--json <path>` — additionally write the JSON document to `path`,
 //!   regardless of the stdout format.
 //! * `--trace <path>` — after the experiment, run the traced reference
 //!   training run and write its Chrome trace-event JSON to `path` (see
 //!   [`observe`](crate::observe)).
 //! * `--roofline` — print the DMGC roofline (compute / memory / coherence
-//!   breakdown with predicted and measured GNPS) after the experiment.
+//!   breakdown with predicted and measured GNPS) after the experiment; on
+//!   stderr under `--format json`, so stdout stays one document.
 //! * `--help` — print usage.
 //!
 //! Emitted JSON is validated against the schema (a parse round-trip
 //! through [`ExperimentResult::from_json`]) before it is printed or
-//! written, so a schema regression fails the binary instead of producing
+//! written, so a schema regression fails the command instead of producing
 //! an unreadable trajectory file.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use buckwild::Backend;
 use buckwild_kernels::KernelIsa;
 use buckwild_telemetry::json::Value;
 use buckwild_telemetry::ExperimentResult;
+
+use crate::experiments::{Experiment, REGISTRY};
 
 /// Stdout rendering choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +54,7 @@ pub struct Options {
     pub format: Format,
     /// Optional path to also write the JSON document to.
     pub json_path: Option<String>,
-    /// Optional experiment seed override (consumed by seeded binaries;
+    /// Optional experiment seed override (consumed by seeded experiments;
     /// ignored by the rest).
     pub seed: Option<u64>,
     /// Optional path to write the reference-run Chrome trace to.
@@ -58,25 +70,34 @@ pub struct Options {
     pub isa: Option<KernelIsa>,
 }
 
-fn usage(name: &str) -> String {
+/// The usage text: synopsis, every registry entry, and the shared flags.
+fn usage() -> String {
+    let experiments: Vec<&str> = REGISTRY.iter().map(|(name, _)| *name).collect();
     format!(
-        "usage: {name} [--format {{text,json}}] [--json <path>] [--seed <u64>]\n\
-                       [--trace <path>] [--roofline] [--backend {{shared,sharded}}]\n\
-                       [--isa {{scalar,avx2,auto}}]\n\
+        "usage: buckwild-bench <experiment> [--format {{text,json}}] [--json <path>]\n\
+         \x20                     [--seed <u64>] [--trace <path>] [--roofline]\n\
+         \x20                     [--backend {{shared,sharded}}] [--isa {{scalar,avx2,auto}}]\n\
+         \x20      buckwild-bench all [same flags]      every experiment, in paper order\n\
+         \x20      buckwild-bench serve [--help]        load generator for the prediction server\n\
+         \x20      buckwild-bench watchdog [--help]     seeded chaos run with a post-mortem bundle\n\
          \n\
-           --format text   aligned tables on stdout (default)\n\
-         --format json   ExperimentResult JSON on stdout\n\
+         experiments: {}\n\
+         \n\
+         --format text   aligned tables on stdout (default)\n\
+         --format json   ExperimentResult JSON on stdout (`all`: an array)\n\
          --json <path>   also write the JSON document to <path>\n\
-         --seed <u64>    override the experiment seed (seeded binaries)\n\
+         --seed <u64>    override the experiment seed (seeded experiments)\n\
          --trace <path>  write a Chrome trace of the reference traced run\n\
          --roofline      print the DMGC compute/memory/coherence roofline\n\
+         \x20               (on stderr with --format json)\n\
          --backend <b>   train on `shared` (Hogwild!) or `sharded` (delta\n\
-                         rings) model storage; default shared\n\
+         \x20               rings) model storage; default shared\n\
          --isa <isa>     kernel instruction-set tier: `scalar`, `avx2`, or\n\
-                         `auto` (default: BUCKWILD_ISA or the hardware\n\
-                         probe; clamped to what the CPU supports)\n\
+         \x20               `auto` (default: BUCKWILD_ISA or the hardware\n\
+         \x20               probe; clamped to what the CPU supports)\n\
          \n\
-         budget knobs (environment): BUCKWILD_SECONDS, BUCKWILD_FULL=1"
+         budget knobs (environment): BUCKWILD_SECONDS, BUCKWILD_FULL=1",
+        experiments.join(" ")
     )
 }
 
@@ -166,63 +187,54 @@ fn validated_json(results: &[ExperimentResult]) -> Result<String, String> {
     }
 }
 
-fn emit(name: &str, results: &[ExperimentResult], options: &Options) -> ExitCode {
+/// Renders `results` per the flags: the documents on `out`, diagnostics
+/// on `err`.
+fn emit(
+    results: &[ExperimentResult],
+    options: &Options,
+    out: &mut dyn Write,
+    err: &mut dyn Write,
+) -> io::Result<ExitCode> {
     let json = match validated_json(results) {
         Ok(json) => json,
         Err(e) => {
-            eprintln!("{name}: {e}");
-            return ExitCode::FAILURE;
+            writeln!(err, "buckwild-bench: {e}")?;
+            return Ok(ExitCode::FAILURE);
         }
     };
     match options.format {
         Format::Text => {
             for r in results {
-                print!("{}", r.render_text());
+                write!(out, "{}", r.render_text())?;
             }
         }
-        Format::Json => println!("{json}"),
+        Format::Json => writeln!(out, "{json}")?,
     }
     if let Some(path) = &options.json_path {
         if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-            eprintln!("{name}: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            writeln!(err, "buckwild-bench: cannot write {path}: {e}")?;
+            return Ok(ExitCode::FAILURE);
         }
     }
-    observability_pass(name, options)
-}
-
-/// Runs the post-experiment `--trace` / `--roofline` pass.
-fn observability_pass(name: &str, options: &Options) -> ExitCode {
+    // The post-experiment `--trace` / `--roofline` pass.
     let seed = options.seed.unwrap_or(crate::observe::DEFAULT_SEED);
     if let Some(path) = &options.trace_path {
         if let Err(e) = crate::observe::write_reference_trace(path, seed) {
-            eprintln!("{name}: cannot write trace {path}: {e}");
-            return ExitCode::FAILURE;
+            writeln!(err, "buckwild-bench: cannot write trace {path}: {e}")?;
+            return Ok(ExitCode::FAILURE);
         }
     }
     if options.roofline {
         let (report, comparison) = crate::observe::roofline_with_backends(seed);
-        print!("{}", report.render_text());
-        println!("{}", comparison.headline());
+        // Under `--format json` stdout is exactly one JSON document.
+        let sink: &mut dyn Write = match options.format {
+            Format::Text => &mut *out,
+            Format::Json => &mut *err,
+        };
+        write!(sink, "{}", report.render_text())?;
+        writeln!(sink, "{}", comparison.headline())?;
     }
-    ExitCode::SUCCESS
-}
-
-fn dispatch<F: FnOnce() -> Vec<ExperimentResult>>(name: &str, build: F) -> ExitCode {
-    match parse(std::env::args().skip(1)) {
-        Ok(Some(options)) => {
-            apply_backend(&options);
-            emit(name, &build(), &options)
-        }
-        Ok(None) => {
-            println!("{}", usage(name));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{name}: {e}\n{}", usage(name));
-            ExitCode::from(2)
-        }
-    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Installs the `--backend` override as the process default, so every
@@ -238,41 +250,68 @@ fn apply_backend(options: &Options) {
     }
 }
 
-/// Entry point for a single-experiment binary: parses the process
-/// arguments, runs `build`, and renders per the flags.
-pub fn run<F: FnOnce() -> ExperimentResult>(name: &str, build: F) -> ExitCode {
-    dispatch(name, || vec![build()])
-}
-
-/// Entry point for a multi-experiment binary; JSON output is an array of
-/// experiment documents.
-pub fn run_many<F: FnOnce() -> Vec<ExperimentResult>>(name: &str, build: F) -> ExitCode {
-    dispatch(name, build)
-}
-
-/// Entry point for a seeded single-experiment binary: like [`run`], but
-/// `build` receives the `--seed` value (or `default_seed` when the flag is
-/// absent), so the same invocation always reproduces the same document.
-pub fn run_seeded<F: FnOnce(u64) -> ExperimentResult>(
-    name: &str,
-    default_seed: u64,
-    build: F,
-) -> ExitCode {
-    match parse(std::env::args().skip(1)) {
+fn dispatch(
+    mut args: impl Iterator<Item = String>,
+    out: &mut dyn Write,
+    err: &mut dyn Write,
+) -> io::Result<ExitCode> {
+    let selected: Vec<&Experiment> = match args.next().as_deref() {
+        None => {
+            writeln!(err, "{}", usage())?;
+            return Ok(ExitCode::from(2));
+        }
+        Some("--help" | "-h") => {
+            writeln!(out, "{}", usage())?;
+            return Ok(ExitCode::SUCCESS);
+        }
+        Some("serve") => return Ok(crate::serve::main(args)),
+        Some("watchdog") => return Ok(crate::watchdog::main(args)),
+        Some("all") => REGISTRY.iter().collect(),
+        Some(name) => match REGISTRY.iter().find(|(entry, _)| *entry == name) {
+            Some(experiment) => vec![experiment],
+            None => {
+                writeln!(
+                    err,
+                    "buckwild-bench: unknown experiment `{name}`\n{}",
+                    usage()
+                )?;
+                return Ok(ExitCode::from(2));
+            }
+        },
+    };
+    match parse(args) {
         Ok(Some(options)) => {
             apply_backend(&options);
-            let seed = options.seed.unwrap_or(default_seed);
-            emit(name, &[build(seed)], &options)
+            let results: Vec<ExperimentResult> = selected
+                .iter()
+                .map(|(_, experiment)| experiment(options.seed))
+                .collect();
+            emit(&results, &options, out, err)
         }
         Ok(None) => {
-            println!("{}", usage(name));
-            ExitCode::SUCCESS
+            writeln!(out, "{}", usage())?;
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
-            eprintln!("{name}: {e}\n{}", usage(name));
-            ExitCode::from(2)
+            writeln!(err, "buckwild-bench: {e}\n{}", usage())?;
+            Ok(ExitCode::from(2))
         }
     }
+}
+
+/// Entry point of the `buckwild-bench` executable: `args` are the process
+/// arguments after the program name. Exits 2 with the usage text on a bad
+/// subcommand or flag, 1 when an output cannot be written.
+pub fn run(
+    args: impl Iterator<Item = String>,
+    out: &mut dyn Write,
+    err: &mut dyn Write,
+) -> ExitCode {
+    dispatch(args, out, err).unwrap_or_else(|e| {
+        // A closed pipe on stdout/stderr; nothing left to report it on.
+        let _ = writeln!(err, "buckwild-bench: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 #[cfg(test)]
@@ -368,5 +407,65 @@ mod tests {
         assert!(ExperimentResult::from_json(&one).is_ok());
         let many = validated_json(&[r.clone(), r]).unwrap();
         assert!(many.trim_start().starts_with('['));
+    }
+
+    /// Runs the command line in-process, capturing `(exit, stdout, stderr)`.
+    fn run_captured(list: &[&str]) -> (ExitCode, String, String) {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let code = run(args(list).into_iter(), &mut out, &mut err);
+        let text = |bytes| String::from_utf8(bytes).expect("utf-8");
+        (code, text(out), text(err))
+    }
+
+    #[test]
+    fn unknown_subcommand_exits_2_and_lists_every_experiment() {
+        let (code, out, err) = run_captured(&["table9"]);
+        assert_eq!(code, ExitCode::from(2));
+        assert!(out.is_empty(), "{out}");
+        assert!(err.contains("unknown experiment `table9`"), "{err}");
+        for (name, _) in REGISTRY {
+            assert!(err.contains(name), "{name} missing from {err}");
+        }
+    }
+
+    #[test]
+    fn usage_lists_every_registry_entry() {
+        let (code, out, err) = run_captured(&["--help"]);
+        assert_eq!(code, ExitCode::SUCCESS);
+        assert!(err.is_empty(), "{err}");
+        let (bare_code, bare_out, bare_err) = run_captured(&[]);
+        assert_eq!(bare_code, ExitCode::from(2));
+        assert!(bare_out.is_empty(), "{bare_out}");
+        for usage in [&out, &bare_err] {
+            for word in ["all", "serve", "watchdog"] {
+                assert!(usage.contains(&format!("buckwild-bench {word}")), "{usage}");
+            }
+            for (name, _) in REGISTRY {
+                assert!(usage.contains(name), "{name} missing from {usage}");
+            }
+        }
+    }
+
+    #[test]
+    fn seed_flag_reaches_the_seeded_experiment() {
+        let (code, out, _) = run_captured(&["chaos_sweep", "--seed", "9", "--format", "json"]);
+        assert_eq!(code, ExitCode::SUCCESS);
+        let doc = ExperimentResult::from_json(&out).expect("one document");
+        assert_eq!(doc.id, "chaos_sweep");
+        assert!(
+            doc.meta.contains(&("seed".to_string(), "9".to_string())),
+            "{:?}",
+            doc.meta
+        );
+    }
+
+    #[test]
+    fn json_stdout_is_one_document_even_with_roofline() {
+        let (code, out, err) = run_captured(&["table1", "--roofline", "--format", "json"]);
+        assert_eq!(code, ExitCode::SUCCESS);
+        let doc = ExperimentResult::from_json(&out).expect("stdout is exactly one document");
+        assert_eq!(doc.id, "table1");
+        assert!(err.contains("DMGC roofline"), "{err}");
+        assert!(err.contains("coherence saved"), "{err}");
     }
 }

@@ -11,11 +11,6 @@ use buckwild_dataset::generate;
 use buckwild_kernels::cost::QuantizerKind;
 use buckwild_telemetry::{ExperimentResult, Series};
 
-/// Prints the ablation sweeps (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Runs the ablation sweeps.
 #[must_use]
 pub fn result() -> ExperimentResult {

@@ -17,20 +17,9 @@ use crate::experiments::full_scale;
 /// Default schedule seed (override with `--seed`).
 pub const DEFAULT_SEED: u64 = 7;
 
-/// Prints the chaos sweep (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
-/// The sweep at the default seed.
-#[must_use]
-pub fn result() -> ExperimentResult {
-    result_with_seed(DEFAULT_SEED)
-}
-
 /// Convergence vs injected fault intensity at the given schedule seed.
 #[must_use]
-pub fn result_with_seed(seed: u64) -> ExperimentResult {
+pub fn result(seed: u64) -> ExperimentResult {
     let mut r = ExperimentResult::new(
         "chaos_sweep",
         "Convergence under injected faults (deterministic chaos engine)",

@@ -14,11 +14,6 @@ use buckwild_telemetry::{ExperimentResult, Series};
 use crate::experiments::{full_scale, seconds};
 use crate::measure_dense_t1;
 
-/// Prints the throughput-vs-size table (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Measures throughput vs model size for D8M8, with the perf-model regimes.
 #[must_use]
 pub fn result() -> ExperimentResult {

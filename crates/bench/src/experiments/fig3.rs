@@ -28,11 +28,6 @@ fn measure_train_gnps(sig: &Signature, n: usize, m: usize, threads: usize) -> f6
     report.gnps()
 }
 
-/// Prints the validation table (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Compares measured and predicted throughput across threads, sizes, and
 /// signatures.
 #[must_use]

@@ -1,19 +1,46 @@
 //! Figure 4: hand-optimized SIMD-style kernels vs compiler-generic kernels.
 //!
 //! 4a: dense speedups by model size; 4b: sparse (where optimization can
-//! even hurt for small models); 4c: average speedup per signature.
+//! even hurt for small models); 4c: average speedup per signature; `isa`:
+//! the optimized dense kernels per ISA tier (§5.1's hand-vectorization
+//! claim, scalar floor against explicit AVX2).
 
 use buckwild_dmgc::Signature;
 use buckwild_kernels::cost::QuantizerKind;
-use buckwild_kernels::KernelFlavor;
+use buckwild_kernels::{isa, KernelFlavor, KernelIsa};
 use buckwild_telemetry::{ExperimentResult, Series};
 
 use crate::experiments::{full_scale, seconds};
 use crate::{measure_dense_t1, measure_sparse_t1};
 
-/// Prints the generic-vs-optimized tables (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
+/// Model size of the per-ISA rungs: L1-resident, so the tiers differ in
+/// arithmetic, not in memory traffic.
+const ISA_N: usize = 4096;
+
+/// The flagship dense signatures re-measured under each ISA tier up to
+/// `cap`: `optimized@scalar` is the portable floor, `optimized@avx2` the
+/// hand-vectorized tier. [`result`] passes the active tier, so `--isa
+/// scalar` emits only the scalar rung.
+fn isa_series(cap: KernelIsa, secs: f64) -> Series {
+    let signatures = ["D8M8", "D16M16"];
+    let mut series = Series::new("isa", "tier", &signatures);
+    for tier in KernelIsa::ALL {
+        if tier > cap {
+            continue;
+        }
+        let _pin = isa::scoped(tier);
+        let gnps = signatures.map(|text| {
+            measure_dense_t1(
+                &text.parse().expect("static"),
+                KernelFlavor::Optimized,
+                QuantizerKind::XorshiftShared,
+                ISA_N,
+                secs,
+            )
+        });
+        series.push_row(format!("optimized@{tier}"), &gnps);
+    }
+    series
 }
 
 /// Measures generic vs optimized throughput and speedups.
@@ -119,9 +146,32 @@ pub fn result() -> ExperimentResult {
         per_sig.push_row(text, &[avg]);
     }
     r.push_series(per_sig);
+    r.push_series(isa_series(isa::active(), secs));
     r.note(
         "paper: dense speedups up to 11x; sparse hand-optimization can underperform \
          for small models (which is why the paper recommends it only for dense code)",
     );
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn isa_series_has_one_positive_rung_per_tier_up_to_the_cap() {
+        for cap in [KernelIsa::Scalar, isa::detected()] {
+            let series = isa_series(cap, 0.005);
+            let labels: Vec<&str> = series.rows.iter().map(|r| r.label.as_str()).collect();
+            let expected: Vec<String> = KernelIsa::ALL
+                .iter()
+                .filter(|tier| **tier <= cap)
+                .map(|tier| format!("optimized@{tier}"))
+                .collect();
+            assert_eq!(labels, expected);
+            for row in &series.rows {
+                assert!(row.values.iter().all(|&gnps| gnps > 0.0), "{row:?}");
+            }
+        }
+    }
 }

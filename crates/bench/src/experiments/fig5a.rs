@@ -11,11 +11,6 @@ use buckwild_telemetry::{ExperimentResult, Series};
 
 use crate::experiments::full_scale;
 
-/// Prints the loss trajectories (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Trains D8M8 logistic regression under each quantizer and collects the
 /// per-epoch loss trajectories.
 #[must_use]

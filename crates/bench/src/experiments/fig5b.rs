@@ -8,11 +8,6 @@ use buckwild_telemetry::{ExperimentResult, Series};
 use crate::experiments::{full_scale, seconds};
 use crate::measure_dense_t1;
 
-/// Prints the throughput table (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Measures D8M8 iteration throughput under each quantizer strategy, with
 /// the cost model's Xeon estimate alongside.
 #[must_use]

@@ -36,11 +36,6 @@ fn measure_nibble_gnps(n: usize, secs: f64) -> f64 {
     iters as f64 * n as f64 / start.elapsed().as_secs_f64() / 1e9
 }
 
-/// Prints the D4M4 comparison (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Builds the cost-model D4M4-vs-D8M8 comparison plus the functional
 /// nibble-kernel throughput.
 #[must_use]

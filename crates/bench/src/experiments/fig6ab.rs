@@ -44,11 +44,6 @@ fn sweep(name: &str, dense: bool, cores: usize, iters: usize, sizes: &[usize]) -
     series
 }
 
-/// Prints the prefetch sweeps (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Runs the prefetch-on/off sweeps on the simulated 18-core machine.
 #[must_use]
 pub fn result() -> ExperimentResult {

@@ -10,11 +10,6 @@ use buckwild_telemetry::{ExperimentResult, Recorder, Series, ShardedRecorder};
 
 use crate::experiments::full_scale;
 
-/// Prints the q-sweep (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Sweeps obstinacy q against model size on the simulated machine.
 #[must_use]
 pub fn result() -> ExperimentResult {

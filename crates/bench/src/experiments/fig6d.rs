@@ -23,11 +23,6 @@ fn throughput(n: usize, m: usize, b: usize, threads: usize) -> f64 {
         .gnps()
 }
 
-/// Prints the mini-batch sweep (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Sweeps mini-batch size across model sizes with 2 async workers.
 #[must_use]
 pub fn result() -> ExperimentResult {

@@ -11,11 +11,6 @@ use buckwild_telemetry::{ExperimentResult, Series};
 
 use crate::experiments::full_scale;
 
-/// Prints the loss trajectories (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Trains at several mini-batch sizes and collects loss trajectories.
 #[must_use]
 pub fn result() -> ExperimentResult {

@@ -13,11 +13,6 @@ use buckwild_telemetry::{ExperimentResult, Series};
 
 use crate::experiments::full_scale;
 
-/// Prints the obstinacy sweep (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Trains with emulated obstinacy at several q values.
 #[must_use]
 pub fn result() -> ExperimentResult {

@@ -17,11 +17,6 @@ use buckwild_telemetry::{ExperimentResult, Series};
 
 use crate::experiments::full_scale;
 
-/// Prints the conv-layer throughputs (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Times conv-layer GEMMs at each precision (GMAC/s + speedup).
 #[must_use]
 pub fn result() -> ExperimentResult {

@@ -13,11 +13,6 @@ use buckwild_telemetry::{ExperimentResult, Series};
 
 use crate::experiments::full_scale;
 
-/// Prints the precision sweep (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Trains the CNN at each weight precision and collects test error.
 #[must_use]
 pub fn result() -> ExperimentResult {

@@ -3,11 +3,6 @@
 use buckwild_fpga::{search_best_design, Device, PipelineShape, SgdDesign};
 use buckwild_telemetry::{ExperimentResult, Series};
 
-/// Prints the pipeline comparison (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Compares the two pipeline shapes across device resource mixes.
 #[must_use]
 pub fn result() -> ExperimentResult {

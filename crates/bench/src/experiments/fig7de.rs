@@ -13,11 +13,6 @@ use buckwild_telemetry::{ExperimentResult, Series};
 
 use crate::experiments::full_scale;
 
-/// Prints the precision comparison (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Trains the one-vs-all RFF SVM at each precision; collects train loss,
 /// test error, and wall time.
 #[must_use]

@@ -8,11 +8,6 @@ const PAPER_CPU_GNPS_PER_WATT: f64 = 0.143;
 /// The paper's measured FPGA energy efficiency (Stratix V GS 5SGSD8, §8).
 const PAPER_FPGA_GNPS_PER_WATT: f64 = 0.339;
 
-/// Prints the precision sweep (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Sweeps precision through the FPGA design search.
 #[must_use]
 pub fn result() -> ExperimentResult {

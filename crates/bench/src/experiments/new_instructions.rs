@@ -11,11 +11,6 @@ use buckwild_kernels::cost::{estimate_gnps, iteration_mix, QuantizerKind};
 use buckwild_kernels::KernelFlavor;
 use buckwild_telemetry::{ExperimentResult, Series};
 
-/// Prints the ISA comparison (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Estimates current-ISA vs proposed-ISA throughput per signature.
 #[must_use]
 pub fn result() -> ExperimentResult {

@@ -3,11 +3,6 @@
 use buckwild_dmgc::taxonomy::TABLE1;
 use buckwild_telemetry::ExperimentResult;
 
-/// Prints the Table 1 taxonomy with the classification rationale.
-pub fn run() {
-    print!("{}", result().render_text());
-}
-
 /// Builds the taxonomy as a structured result: each prior system becomes a
 /// metadata entry, with the §3.1 classification rationale as notes.
 #[must_use]

@@ -6,11 +6,20 @@ use buckwild_kernels::KernelFlavor;
 use buckwild_telemetry::{ExperimentResult, Series};
 
 use crate::experiments::{full_scale, seconds};
-use crate::{measure_dense_t1, measure_sparse_t1};
+use crate::{measure_dense_t1, measure_sparse_t1, measure_weaved_truncated};
 
-/// Prints the measured table (text rendering of [`result`]).
-pub fn run() {
-    print!("{}", result().render_text());
+/// Any-precision serving from one weaved encoding: the dataset is woven
+/// once at 16 bits and each row reads only its top planes, with the
+/// all-planes `D16@16` row as the anchor.
+fn truncate_series(n: usize, secs: f64) -> Series {
+    let mut series = Series::new("truncate", "served@stored", &["dense", "vs-D16@16"]);
+    let full = measure_weaved_truncated(n, 16, 16, secs);
+    for served in [4, 8] {
+        let gnps = measure_weaved_truncated(n, 16, served, secs);
+        series.push_row(format!("D{served}@16"), &[gnps, gnps / full]);
+    }
+    series.push_row("D16@16", &[full, 1.0]);
+    series
 }
 
 /// Measures the dense and sparse base throughput for every Table 2
@@ -120,5 +129,46 @@ pub fn result() -> ExperimentResult {
         ));
     }
     r.push_series(weaved);
+    r.push_series(truncate_series(n, secs));
+
+    // The gathered bit-serial dot on the one sparse signature whose
+    // 16-bit indices span the default model exactly.
+    let sparse_sig: Signature = "D8i16M8".parse().expect("static");
+    let sparse = |flavor| {
+        measure_sparse_t1(
+            &sparse_sig,
+            flavor,
+            QuantizerKind::XorshiftShared,
+            n,
+            nnz,
+            secs,
+        )
+    };
+    let bitserial = sparse(KernelFlavor::BitSerial);
+    let mut weaved_sparse =
+        Series::new("bitserial sparse", "signature", &["sparse", "vs-optimized"]);
+    weaved_sparse.push_row(
+        "D8i16M8",
+        &[bitserial, bitserial / sparse(KernelFlavor::Optimized)],
+    );
+    r.push_series(weaved_sparse);
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn truncate_series_measures_every_served_precision() {
+        let series = truncate_series(1 << 10, 0.005);
+        for label in ["D4@16", "D8@16"] {
+            let row = series
+                .rows
+                .iter()
+                .find(|r| r.label == label)
+                .unwrap_or_else(|| panic!("{label} missing from {series:?}"));
+            assert!(row.values.iter().all(|&v| v > 0.0), "{row:?}");
+        }
+    }
 }

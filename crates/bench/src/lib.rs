@@ -1,7 +1,6 @@
-//! Measurement harness shared by the per-figure experiment binaries.
-//!
-//! Each binary under `src/bin/` regenerates one table or figure from the
-//! paper's evaluation; this library provides the common machinery:
+//! The `buckwild-bench` executable's library: one experiment per table or
+//! figure of the paper's evaluation ([`experiments`]), the command line
+//! that dispatches to them ([`cli`]), and the common machinery —
 //! kernel-level SGD iteration drivers for every DMGC signature (used to
 //! measure base throughputs the way the paper's §4 microbenchmarks do),
 //! wall-clock timing, and aligned table printing.
@@ -14,10 +13,9 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod gate;
-pub mod harness;
 pub mod observe;
 pub mod serve;
+pub mod watchdog;
 
 use std::time::Instant;
 

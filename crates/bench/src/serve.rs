@@ -11,10 +11,23 @@
 //! `serve.request_ns` histogram, epoch lag of served snapshots) and the
 //! training side (GNPS sustained *while serving*).
 //!
-//! Both the `serve_bench` binary and the `gate --serve` baseline rows are
-//! thin wrappers around this harness.
+//! `buckwild-bench serve` ([`main`]) is a flag parser around this harness:
+//!
+//! ```text
+//! buckwild-bench serve [--seconds <f64>] [--clients <n>] [--rows <n>]
+//!                      [--shards <n>] [--backend shared|sharded]
+//!                      [--features <n>] [--examples <n>] [--train-threads <n>]
+//!                      [--seed <n>] [--isa <isa>] [--compact]
+//!                      [--metrics-addr <host:port>] [--obs-log <path>]
+//! ```
+//!
+//! With `--metrics-addr` the run is scrapeable while it is live
+//! (`curl http://<addr>/metrics` returns Prometheus text exposition of
+//! the `serve.*` metrics); with `--obs-log` a JSONL time series of
+//! stamped snapshots is written for offline plotting.
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,7 +81,7 @@ pub struct ServeLoadOptions {
 }
 
 impl ServeLoadOptions {
-    /// The pinned scenario the gate rows use: an 8-bit (`D8M8`) model of
+    /// The pinned scenario `buckwild-bench serve` defaults to: an 8-bit (`D8M8`) model of
     /// 256 features, 2 training workers, 2 server shards, 2 clients
     /// sending 16-row batches.
     #[must_use]
@@ -138,7 +151,7 @@ impl ServeLoadReport {
         }
     }
 
-    /// The report as a JSON document (the `serve_bench` output schema).
+    /// The report as a JSON document (what `buckwild-bench serve` prints).
     #[must_use]
     pub fn to_json_value(&self) -> Value {
         let summary = |h: &HistogramSummary| {
@@ -301,6 +314,137 @@ pub fn run_serve_load(opts: &ServeLoadOptions) -> ServeLoadReport {
         train_gnps: report.gnps(),
         final_loss: report.final_loss(),
     }
+}
+
+struct Args {
+    opts: ServeLoadOptions,
+    compact: bool,
+}
+
+fn default_opts() -> ServeLoadOptions {
+    ServeLoadOptions::pinned(Backend::SharedModel, 2.0, 1701)
+}
+
+fn usage() -> String {
+    let d = default_opts();
+    format!(
+        "usage: buckwild-bench serve [--seconds <f64>] [--clients <n>] [--rows <n>]\n\
+         \x20                           [--shards <n>] [--backend shared|sharded]\n\
+         \x20                           [--features <n>] [--examples <n>]\n\
+         \x20                           [--train-threads <n>] [--seed <n>] [--compact]\n\
+         \n\
+         --seconds <f64>      measurement window (default {})\n\
+         --clients <n>        closed-loop client workers (default {})\n\
+         --rows <n>           rows per predict request (default {})\n\
+         --shards <n>         server accept/serve threads (default {})\n\
+         --backend <name>     training backend: shared | sharded (default shared)\n\
+         --features <n>       model features (default {})\n\
+         --examples <n>       training examples (default {})\n\
+         --train-threads <n>  training workers (default {})\n\
+         --seed <n>           problem/batch seed (default {})\n\
+         --isa <isa>          kernel ISA tier: scalar | avx2 | auto\n\
+         --metrics-addr <a>   serve live Prometheus metrics at <host:port>\n\
+         --obs-log <path>     write a JSONL metrics time series to <path>\n\
+         --compact            single-line JSON instead of pretty",
+        d.seconds,
+        d.clients,
+        d.rows_per_request,
+        d.shards,
+        d.features,
+        d.examples,
+        d.train_threads,
+        d.seed,
+    )
+}
+
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
+    let mut parsed = Args {
+        opts: default_opts(),
+        compact: false,
+    };
+    let positive = |flag: &str, value: Option<String>| -> Result<usize, String> {
+        match value.map(|v| v.parse::<usize>()) {
+            Some(Ok(n)) if n >= 1 => Ok(n),
+            Some(_) => Err(format!("{flag} requires a positive integer")),
+            None => Err(format!("{flag} requires a value")),
+        }
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seconds" => match args.next().map(|v| v.parse::<f64>()) {
+                Some(Ok(s)) if s > 0.0 => parsed.opts.seconds = s,
+                Some(_) => return Err("--seconds requires a positive number".into()),
+                None => return Err("--seconds requires a value".into()),
+            },
+            "--clients" => parsed.opts.clients = positive("--clients", args.next())?,
+            "--rows" => parsed.opts.rows_per_request = positive("--rows", args.next())?,
+            "--shards" => parsed.opts.shards = positive("--shards", args.next())?,
+            "--features" => parsed.opts.features = positive("--features", args.next())?,
+            "--examples" => parsed.opts.examples = positive("--examples", args.next())?,
+            "--train-threads" => {
+                parsed.opts.train_threads = positive("--train-threads", args.next())?;
+            }
+            "--seed" => match args.next().map(|v| v.parse::<u64>()) {
+                Some(Ok(s)) => parsed.opts.seed = s,
+                Some(_) => return Err("--seed requires an integer".into()),
+                None => return Err("--seed requires a value".into()),
+            },
+            "--backend" => match args.next().as_deref() {
+                Some("shared") => parsed.opts.backend = Backend::SharedModel,
+                Some("sharded") => parsed.opts.backend = Backend::ShardedDelta,
+                Some(other) => return Err(format!("unknown backend `{other}`")),
+                None => return Err("--backend requires shared|sharded".into()),
+            },
+            "--isa" => match args
+                .next()
+                .map(|v| v.parse::<buckwild_kernels::KernelIsa>())
+            {
+                Some(Ok(isa)) => {
+                    let _ = buckwild_kernels::isa::set_active(isa);
+                }
+                Some(Err(e)) => return Err(format!("--isa: {e}")),
+                None => return Err("--isa requires scalar|avx2|auto".into()),
+            },
+            "--metrics-addr" => match args.next() {
+                Some(addr) if !addr.is_empty() => parsed.opts.metrics_addr = Some(addr),
+                _ => return Err("--metrics-addr requires a host:port".into()),
+            },
+            "--obs-log" => match args.next() {
+                Some(path) if !path.is_empty() => {
+                    parsed.opts.obs_log = Some(std::path::PathBuf::from(path));
+                }
+                _ => return Err("--obs-log requires a path".into()),
+            },
+            "--compact" => parsed.compact = true,
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unrecognized argument `{other}`")),
+        }
+    }
+    Ok(Some(parsed))
+}
+
+/// The `buckwild-bench serve` subcommand: runs one load scenario and
+/// prints its report as one JSON document on stdout.
+pub fn main(args: impl Iterator<Item = String>) -> ExitCode {
+    let args = match parse_args(args) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("buckwild-bench serve: {e}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    let report = run_serve_load(&args.opts);
+    let json = report.to_json_value();
+    if args.compact {
+        println!("{}", json.to_json());
+    } else {
+        println!("{}", json.to_json_pretty());
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -1,5 +1,4 @@
-//! Seeded chaos-validated watchdog run:
-//! `cargo run --release -p buckwild-bench --bin watchdog_dump`.
+//! Seeded chaos-validated watchdog run: `buckwild-bench watchdog`.
 //!
 //! Trains under the deterministic chaos engine with an injected fault
 //! schedule, feeds the run through the flight recorder (virtual clock)
@@ -8,19 +7,18 @@
 //! seed produce byte-identical `flight.jsonl` dumps — CI compares them
 //! with `cmp`. The injected fault must trip its corresponding detector
 //! (stalls → the `chaos.stalls` ceiling, dropped writes → the
-//! `chaos.dropped_writes` ceiling); if nothing trips, the binary exits
+//! `chaos.dropped_writes` ceiling); if nothing trips, the command exits
 //! nonzero.
 //!
 //! ```text
-//! watchdog_dump [--seed <n>] [--fault stall|drop|none] [--out <dir>]
-//!               [--epochs <n>] [--threads <n>] [--compact]
+//! buckwild-bench watchdog [--seed <n>] [--fault stall|drop|none] [--out <dir>]
+//!                         [--epochs <n>] [--threads <n>] [--compact]
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use buckwild::{ChaosSgdConfig, FaultPlan, Loss};
-use buckwild_bench::gate::Hardware;
 use buckwild_dataset::generate;
 use buckwild_obs::{
     run_id_from_seed, CeilingDetector, ConvergenceStall, FlightRecorder, FlightTracer, ObsSample,
@@ -49,6 +47,27 @@ impl Fault {
     }
 }
 
+/// The `hardware` block of `preamble.json`: the machine the bundle was
+/// written on, and the kernel ISA tier the run executed under (the
+/// *active* tier, so a `BUCKWILD_ISA` override shows up here).
+fn hardware() -> Value {
+    Value::object(vec![
+        (
+            "core_count",
+            Value::from(buckwild_affinity::core_count() as u64),
+        ),
+        (
+            "cache_line_bytes",
+            Value::from(buckwild_affinity::cache_line_bytes()),
+        ),
+        (
+            "simd_width_bits",
+            Value::from(u64::from(buckwild_affinity::simd_width_bits())),
+        ),
+        ("isa", Value::from(buckwild_kernels::isa::active().name())),
+    ])
+}
+
 struct Args {
     seed: u64,
     fault: Fault,
@@ -59,8 +78,8 @@ struct Args {
 }
 
 fn usage() -> &'static str {
-    "usage: watchdog_dump [--seed <n>] [--fault stall|drop|none] [--out <dir>]\n\
-     \x20                    [--epochs <n>] [--threads <n>] [--compact]\n\
+    "usage: buckwild-bench watchdog [--seed <n>] [--fault stall|drop|none] [--out <dir>]\n\
+     \x20                              [--epochs <n>] [--threads <n>] [--compact]\n\
      \n\
      --seed <n>     fault-schedule and problem seed (default 7)\n\
      --fault <f>    injected fault: stall | drop | none (default stall)\n\
@@ -70,7 +89,7 @@ fn usage() -> &'static str {
      --compact      single-line JSON summary instead of pretty"
 }
 
-fn parse_args() -> Result<Option<Args>, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
     let mut parsed = Args {
         seed: 7,
         fault: Fault::Stall,
@@ -79,7 +98,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         threads: 4,
         compact: false,
     };
-    let mut args = std::env::args().skip(1);
     let positive = |flag: &str, value: Option<String>| -> Result<usize, String> {
         match value.map(|v| v.parse::<usize>()) {
             Some(Ok(n)) if n >= 1 => Ok(n),
@@ -115,15 +133,17 @@ fn parse_args() -> Result<Option<Args>, String> {
     Ok(Some(parsed))
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
+/// The `buckwild-bench watchdog` subcommand: runs the seeded chaos run,
+/// writes the post-mortem bundle and prints a JSON summary on stdout.
+pub fn main(args: impl Iterator<Item = String>) -> ExitCode {
+    let args = match parse_args(args) {
         Ok(Some(args)) => args,
         Ok(None) => {
             println!("{}", usage());
             return ExitCode::SUCCESS;
         }
         Err(e) => {
-            eprintln!("watchdog_dump: {e}\n{}", usage());
+            eprintln!("buckwild-bench watchdog: {e}\n{}", usage());
             return ExitCode::from(2);
         }
     };
@@ -147,7 +167,7 @@ fn main() -> ExitCode {
     let report = match config.train_traced(&problem.data, &recorder, &tracer) {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("watchdog_dump: chaos training failed: {e}");
+            eprintln!("buckwild-bench watchdog: chaos training failed: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -185,6 +205,8 @@ fn main() -> ExitCode {
     });
 
     let preamble = Value::object(vec![
+        // The executable's old name: kept so a bundle stays byte-identical
+        // per seed across the fold into `buckwild-bench watchdog`.
         ("tool", Value::from("watchdog_dump")),
         ("run_id", Value::from(format!("{run_id:016x}"))),
         ("seed", Value::from(args.seed)),
@@ -193,10 +215,10 @@ fn main() -> ExitCode {
         ("threads", Value::from(args.threads as u64)),
         ("features", Value::from(FEATURES as u64)),
         ("examples", Value::from(EXAMPLES as u64)),
-        ("hardware", Hardware::probe().to_json_value()),
+        ("hardware", hardware()),
     ]);
     if let Err(e) = watchdog.write_postmortem(&args.out, &preamble, Some(report.metrics())) {
-        eprintln!("watchdog_dump: writing bundle failed: {e}");
+        eprintln!("buckwild-bench watchdog: writing bundle failed: {e}");
         return ExitCode::FAILURE;
     }
 
@@ -218,7 +240,7 @@ fn main() -> ExitCode {
     // With a fault injected, the corresponding detector must have fired.
     if args.fault != Fault::None && !watchdog.tripped() {
         eprintln!(
-            "watchdog_dump: injected `{}` fault but no detector tripped",
+            "buckwild-bench watchdog: injected `{}` fault but no detector tripped",
             args.fault.name()
         );
         return ExitCode::FAILURE;

@@ -1,4 +1,4 @@
-//! The experiment executables emit exactly what `tests/golden/` holds.
+//! `buckwild-bench` emits exactly what `tests/golden/` holds.
 //!
 //! The goldens were recorded from the per-experiment executables
 //! (`chaos_sweep`, `watchdog_dump`, `all_experiments`) before they were
@@ -17,7 +17,13 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-fn run(mut command: Command) -> Output {
+fn bench(args: &[&str]) -> Command {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_buckwild-bench"));
+    command.args(args);
+    command
+}
+
+fn succeed(mut command: Command) -> Output {
     let output = command.output().expect("executable spawns");
     assert!(
         output.status.success(),
@@ -29,9 +35,8 @@ fn run(mut command: Command) -> Output {
 
 #[test]
 fn chaos_sweep_seed_7_json_is_byte_identical() {
-    let mut command = Command::new(env!("CARGO_BIN_EXE_chaos_sweep"));
-    command.args(["--seed", "7", "--format", "json"]);
-    let stdout = String::from_utf8(run(command).stdout).expect("utf-8");
+    let output = succeed(bench(&["chaos_sweep", "--seed", "7", "--format", "json"]));
+    let stdout = String::from_utf8(output.stdout).expect("utf-8");
     assert_eq!(stdout, golden("chaos_sweep_seed7.json"));
 }
 
@@ -39,10 +44,9 @@ fn chaos_sweep_seed_7_json_is_byte_identical() {
 fn watchdog_seed_7_stall_bundle_is_byte_identical() {
     let out: PathBuf =
         std::env::temp_dir().join(format!("buckwild-watchdog-{}", std::process::id()));
-    let mut command = Command::new(env!("CARGO_BIN_EXE_watchdog_dump"));
-    command.args(["--seed", "7", "--fault", "stall", "--out"]);
+    let mut command = bench(&["watchdog", "--seed", "7", "--fault", "stall", "--out"]);
     command.arg(&out);
-    run(command);
+    succeed(command);
     let written = |name: &str| {
         std::fs::read_to_string(out.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"))
     };
@@ -85,11 +89,9 @@ fn shapes(documents: &[ExperimentResult]) -> String {
 #[test]
 #[ignore = "runs all 22 experiments; use `cargo test --release -- --ignored` (~40 s)"]
 fn every_experiment_keeps_its_series_columns_and_scalars() {
-    let mut command = Command::new(env!("CARGO_BIN_EXE_all_experiments"));
-    command
-        .args(["--format", "json"])
-        .env("BUCKWILD_SECONDS", "0.02");
-    let stdout = String::from_utf8(run(command).stdout).expect("utf-8");
+    let mut command = bench(&["all", "--format", "json"]);
+    command.env("BUCKWILD_SECONDS", "0.02");
+    let stdout = String::from_utf8(succeed(command).stdout).expect("utf-8");
     let array = json::parse(&stdout).expect("one JSON array");
     let documents: Vec<ExperimentResult> = array
         .as_array()

@@ -283,7 +283,7 @@ pub fn estimate_gnps(signature: &Signature, flavor: KernelFlavor, quantizer: Qua
     CostParams::xeon().estimate_gnps(&iteration_mix(signature, flavor, quantizer))
 }
 
-/// [`estimate_gnps`] for an explicit [`KernelIsa`] tier (the per-ISA gate
+/// [`estimate_gnps`] for an explicit [`KernelIsa`] tier (the per-ISA `fig4`
 /// and roofline rows).
 #[must_use]
 pub fn estimate_gnps_isa(

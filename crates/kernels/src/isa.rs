@@ -5,7 +5,7 @@
 //! bit-identity reference) and explicit AVX2 `std::arch` paths. Which
 //! tier runs is decided **once per process** by [`active`]:
 //!
-//! 1. a live [`scoped`] override (tests and the per-ISA gate rows), then
+//! 1. a live [`scoped`] override (tests and `fig4`'s per-ISA rungs), then
 //! 2. the first [`set_active`] call (the `--isa` flag on every binary),
 //! 3. the `BUCKWILD_ISA` environment variable (`scalar`, `avx2`, or
 //!    `auto`),
@@ -32,7 +32,7 @@ pub enum KernelIsa {
 }
 
 impl KernelIsa {
-    /// All tiers, narrowest first, for sweeps and per-ISA gate rows.
+    /// All tiers, narrowest first, for sweeps and `fig4`'s per-ISA rungs.
     pub const ALL: [KernelIsa; 2] = [KernelIsa::Scalar, KernelIsa::Avx2];
 
     /// Lowercase name, as accepted by `BUCKWILD_ISA` / `--isa` and
@@ -170,7 +170,7 @@ pub fn set_active(isa: KernelIsa) -> bool {
 ///
 /// The override is **process-global**: it reaches kernels on every
 /// thread, including training workers spawned while the guard is live.
-/// That is exactly what the per-ISA gate rows and the training
+/// That is exactly what `fig4`'s per-ISA rungs and the training
 /// equivalence tests need; concurrent guards on different threads would
 /// race, so orchestration code holds at most one at a time.
 #[derive(Debug)]

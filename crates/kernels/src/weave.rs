@@ -624,7 +624,7 @@ pub fn dot_sparse_fixed<D: FixedInt, I: IndexElement, M: FixedInt>(
             // Gather each model word once per chunk; every plane pass then
             // reads the contiguous scratch instead of re-chasing the index
             // slice up to `bits` times per nonzero (the 37.6 ns/number
-            // hotspot in the sparse gate row). Integer adds commute, so the
+            // hotspot in `table2`'s sparse row). Integer adds commute, so the
             // total is unchanged bit for bit.
             for (j, slot) in buf.iter_mut().enumerate().take(chunk.len()) {
                 *slot = w[indices[base + j].to_usize()].widen() as i64;

@@ -90,8 +90,8 @@ fn main() {
             }
         }
         None => println!(
-            "\nno Table 2 calibration for {signature}; run the bench crate's table2 \
-             binary to calibrate on this host"
+            "\nno Table 2 calibration for {signature}; run `buckwild-bench table2` \
+             to calibrate on this host"
         ),
     }
 }

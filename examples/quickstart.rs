@@ -211,7 +211,7 @@ fn main() {
     println!(
         "The low-precision runs match full-precision quality — the paper's core claim. \
          The SIMD throughput wins show up in the single-thread kernel benchmarks \
-         (`cargo run --release -p buckwild-bench --bin table2`); the multi-threaded \
+         (`cargo run --release -p buckwild-bench -- table2`); the multi-threaded \
          engine above pays for Rust's per-element atomic accesses either way."
     );
 }
