@@ -2,8 +2,8 @@
 //!
 //! The shard-per-core backend wants each worker parked on its own core so
 //! a shard's cache lines never migrate; the watchdog post-mortem wants to
-//! stamp its preamble with the topology it ran on so bundles from different
-//! machines are interpretable. Both live here, in the one crate of the workspace that
+//! stamp its bundle with the topology it ran on so bundles across machines
+//! are interpretable. Both live here, in the one crate of the workspace that
 //! is allowed a single, tightly scoped `unsafe` block: the raw
 //! `sched_setaffinity` syscall on x86-64 Linux. There is no libc in the
 //! dependency-free workspace, so the syscall is issued directly; on every

@@ -164,6 +164,16 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Options>,
     Ok(Some(options))
 }
 
+/// The value of a flag that takes a positive integer (the `serve` and
+/// `watchdog` subcommands' counts).
+pub(crate) fn positive(flag: &str, value: Option<String>) -> Result<usize, String> {
+    match value.map(|v| v.parse::<usize>()) {
+        Some(Ok(n)) if n >= 1 => Ok(n),
+        Some(_) => Err(format!("{flag} requires a positive integer")),
+        None => Err(format!("{flag} requires a value")),
+    }
+}
+
 /// Serializes a result set, validating each document against the schema.
 ///
 /// # Errors
@@ -255,7 +265,7 @@ fn dispatch(
     out: &mut dyn Write,
     err: &mut dyn Write,
 ) -> io::Result<ExitCode> {
-    let selected: Vec<&Experiment> = match args.next().as_deref() {
+    let selected: &[Experiment] = match args.next().as_deref() {
         None => {
             writeln!(err, "{}", usage())?;
             return Ok(ExitCode::from(2));
@@ -266,9 +276,9 @@ fn dispatch(
         }
         Some("serve") => return Ok(crate::serve::main(args)),
         Some("watchdog") => return Ok(crate::watchdog::main(args)),
-        Some("all") => REGISTRY.iter().collect(),
+        Some("all") => &REGISTRY,
         Some(name) => match REGISTRY.iter().find(|(entry, _)| *entry == name) {
-            Some(experiment) => vec![experiment],
+            Some(experiment) => std::slice::from_ref(experiment),
             None => {
                 writeln!(
                     err,

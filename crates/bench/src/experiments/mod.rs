@@ -46,7 +46,7 @@ pub mod table3;
 pub type Experiment = (&'static str, fn(Option<u64>) -> ExperimentResult);
 
 /// Every experiment, in paper order.
-pub const REGISTRY: [Experiment; 22] = [
+pub static REGISTRY: [Experiment; 22] = [
     ("table1", |_| table1::result()),
     ("table2", |_| table2::result()),
     ("fig2", |_| fig2::result()),

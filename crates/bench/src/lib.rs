@@ -2,8 +2,8 @@
 //! figure of the paper's evaluation ([`experiments`]), the command line
 //! that dispatches to them ([`cli`]), and the common machinery —
 //! kernel-level SGD iteration drivers for every DMGC signature (used to
-//! measure base throughputs the way the paper's §4 microbenchmarks do),
-//! wall-clock timing, and aligned table printing.
+//! measure base throughputs the way the paper's §4 microbenchmarks do)
+//! and wall-clock timing.
 //!
 //! Throughput here is **dataset throughput** in GNPS — dataset numbers
 //! processed per second — the paper's hardware-efficiency metric.
@@ -615,35 +615,6 @@ fn sparse_f32_driver(signature: &Signature, n: usize, nnz: usize, seconds: f64) 
             || 0.0,
         );
     })
-}
-
-/// Prints a table row with aligned columns: a label then numeric cells.
-pub fn print_row(label: &str, cells: &[f64]) {
-    print!("{label:<20}");
-    for cell in cells {
-        if cell.abs() >= 100.0 {
-            print!(" {cell:>10.1}");
-        } else {
-            print!(" {cell:>10.4}");
-        }
-    }
-    println!();
-}
-
-/// Prints a table header with aligned columns.
-pub fn print_header(label: &str, columns: &[String]) {
-    print!("{label:<20}");
-    for c in columns {
-        print!(" {c:>10}");
-    }
-    println!();
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(id: &str, title: &str) {
-    println!("==============================================================");
-    println!("{id}: {title}");
-    println!("==============================================================");
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! The `--trace` / `--roofline` observability pass shared by every
-//! experiment binary.
+//! experiment.
 //!
 //! Two artifacts, both driven from [`cli`](crate::cli) flags:
 //!
@@ -42,7 +42,7 @@ use buckwild_trace::{Phase, RingTracer, Trace};
 const FEATURES: usize = 4096;
 /// Examples in the reference problem.
 const EXAMPLES: usize = 256;
-/// Seed used for the reference problem and fault plans when the binary
+/// Seed used for the reference problem and fault plans when the command
 /// was not given `--seed`.
 pub const DEFAULT_SEED: u64 = 97;
 /// Cores simulated for the coherence term.

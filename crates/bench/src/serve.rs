@@ -11,20 +11,11 @@
 //! `serve.request_ns` histogram, epoch lag of served snapshots) and the
 //! training side (GNPS sustained *while serving*).
 //!
-//! `buckwild-bench serve` ([`main`]) is a flag parser around this harness:
-//!
-//! ```text
-//! buckwild-bench serve [--seconds <f64>] [--clients <n>] [--rows <n>]
-//!                      [--shards <n>] [--backend shared|sharded]
-//!                      [--features <n>] [--examples <n>] [--train-threads <n>]
-//!                      [--seed <n>] [--isa <isa>] [--compact]
-//!                      [--metrics-addr <host:port>] [--obs-log <path>]
-//! ```
-//!
-//! With `--metrics-addr` the run is scrapeable while it is live
-//! (`curl http://<addr>/metrics` returns Prometheus text exposition of
-//! the `serve.*` metrics); with `--obs-log` a JSONL time series of
-//! stamped snapshots is written for offline plotting.
+//! `buckwild-bench serve` ([`main`]) is a flag parser around this harness
+//! (`--help` lists the flags). With `--metrics-addr` the run is scrapeable
+//! while it is live (`curl http://<addr>/metrics` returns Prometheus text
+//! exposition of the `serve.*` metrics); with `--obs-log` a JSONL time
+//! series of stamped snapshots is written for offline plotting.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -40,6 +31,8 @@ use buckwild_serve::wire::status;
 use buckwild_serve::{PredictClient, PredictServer, ServeConfig, SnapshotHub};
 use buckwild_telemetry::json::Value;
 use buckwild_telemetry::{HistogramSummary, Recorder};
+
+use crate::cli::positive;
 
 /// Upper bound on epochs for the open-ended training loop; the stop flag
 /// fires long before this.
@@ -361,13 +354,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Args>, St
     let mut parsed = Args {
         opts: default_opts(),
         compact: false,
-    };
-    let positive = |flag: &str, value: Option<String>| -> Result<usize, String> {
-        match value.map(|v| v.parse::<usize>()) {
-            Some(Ok(n)) if n >= 1 => Ok(n),
-            Some(_) => Err(format!("{flag} requires a positive integer")),
-            None => Err(format!("{flag} requires a value")),
-        }
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {

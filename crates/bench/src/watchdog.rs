@@ -8,12 +8,7 @@
 //! with `cmp`. The injected fault must trip its corresponding detector
 //! (stalls → the `chaos.stalls` ceiling, dropped writes → the
 //! `chaos.dropped_writes` ceiling); if nothing trips, the command exits
-//! nonzero.
-//!
-//! ```text
-//! buckwild-bench watchdog [--seed <n>] [--fault stall|drop|none] [--out <dir>]
-//!                         [--epochs <n>] [--threads <n>] [--compact]
-//! ```
+//! nonzero. `--help` lists the flags.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -26,6 +21,8 @@ use buckwild_obs::{
 };
 use buckwild_telemetry::json::Value;
 use buckwild_telemetry::ShardedRecorder;
+
+use crate::cli::positive;
 
 const FEATURES: usize = 32;
 const EXAMPLES: usize = 400;
@@ -97,13 +94,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Args>, St
         epochs: 8,
         threads: 4,
         compact: false,
-    };
-    let positive = |flag: &str, value: Option<String>| -> Result<usize, String> {
-        match value.map(|v| v.parse::<usize>()) {
-            Some(Ok(n)) if n >= 1 => Ok(n),
-            Some(_) => Err(format!("{flag} requires a positive integer")),
-            None => Err(format!("{flag} requires a value")),
-        }
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
