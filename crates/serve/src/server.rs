@@ -6,9 +6,10 @@
 //! dispatcher thread and no cross-shard queue. Each shard serves a
 //! connection to completion: read a frame, decode, score the batch
 //! against the hub's current snapshot with the batched fixed-point
-//! kernels, encode, write. All per-request buffers live in the
-//! connection loop and are reused, so the steady state allocates nothing
-//! but the `Arc` clone of the snapshot.
+//! kernels, encode, write. All per-request buffers belong to the shard
+//! and are reused without being re-initialised (see [`crate::wire`]), so
+//! the steady state zero-fills nothing and allocates nothing but the
+//! `Arc` clone of the snapshot.
 
 use std::io::{self, BufWriter, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -344,12 +345,15 @@ fn serve_connection<C: Counter, H: Histogram, W: WorkerTracer>(
             FrameStart::Len(len) => len,
         };
         if len > wire::MAX_FRAME_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "oversized frame",
-            ));
+            // Nothing after such a prefix can be trusted as a frame
+            // boundary: refuse on the wire and in the counters, then close.
+            counters.bad_requests.incr();
+            wire::encode_response(&mut scratch.response, status::BAD_REQUEST, 0, &[]);
+            wire::write_frame(&mut writer, &scratch.response)?;
+            counters.requests.incr();
+            return Ok(());
         }
-        read_payload(&mut reader, &mut scratch.payload, len)?;
+        wire::read_payload(&mut reader, &mut scratch.payload, len, retryable)?;
 
         let start = Instant::now();
         let span_start = span.begin();
@@ -375,7 +379,6 @@ fn serve_connection<C: Counter, H: Histogram, W: WorkerTracer>(
                 }
                 Some(snap) => {
                     rows = header.rows as u64;
-                    scratch.scores.clear();
                     scratch.scores.resize(header.rows, 0.0);
                     snap.model.score_batch(&scratch.batch, &mut scratch.scores);
                     wire::encode_response(
@@ -439,28 +442,8 @@ fn read_frame_len(reader: &mut impl Read, shutdown: &AtomicBool) -> FrameStart {
     }
 }
 
-/// Reads exactly `len` payload bytes, retrying poll timeouts (a frame is
-/// committed once its length arrived).
-fn read_payload(reader: &mut impl Read, buf: &mut Vec<u8>, len: usize) -> io::Result<()> {
-    buf.clear();
-    buf.resize(len, 0);
-    let mut filled = 0usize;
-    while filled < len {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended inside a frame payload",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if retryable(&e) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
+/// Errors a blocked read retries: an interrupted call and the
+/// connection's poll timeout.
 fn retryable(e: &io::Error) -> bool {
     matches!(
         e.kind(),

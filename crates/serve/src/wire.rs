@@ -3,9 +3,23 @@
 //! One frame = a little-endian `u32` payload length followed by the
 //! payload. Encoders build the entire frame (prefix included) into a
 //! caller-owned buffer so a request or response is a single `write_all`;
-//! decoders parse out of the receive buffer without intermediate copies
-//! beyond the byte→`f32` conversion itself. Connections reuse their
-//! buffers across frames, so the steady-state hot path allocates nothing.
+//! decoders parse straight out of the receive buffer.
+//!
+//! Every payload byte of a steady-state request is written once and read
+//! once on each side: the encoder stores the `f32`s into the frame with
+//! one bulk little-endian copy (the private `put_f32s`), the transport
+//! moves the frame, the receiver `read`s it into its payload buffer, and
+//! the decoder loads the `f32`s out with one bulk copy (`get_f32s`).
+//! Nothing is pushed element by element and nothing is staged in between.
+//!
+//! Connections reuse their buffers across frames **without
+//! re-initialising them**: a buffer is `resize`d to the frame it is about
+//! to hold, never `clear`ed first, so a buffer that already fits is
+//! neither re-zeroed nor re-grown and the steady-state hot path allocates
+//! and memsets nothing. Only growth beyond a buffer's current length is
+//! ever zero-filled. A receive buffer grows as payload bytes *arrive*, not
+//! when a length prefix announces them: a peer that declares 64 MiB and
+//! sends 10 bytes costs 64 KiB, not 64 MiB.
 //!
 //! Request payload (opcode [`opcode::PREDICT`]):
 //!
@@ -168,16 +182,13 @@ pub fn encode_request(buf: &mut Vec<u8>, batch: &[f32], features: usize) {
     );
     let rows = batch.len() / features;
     let payload = REQUEST_HEADER_BYTES + 4 * batch.len();
-    buf.clear();
-    buf.reserve(4 + payload);
-    buf.extend_from_slice(&(payload as u32).to_le_bytes());
-    buf.push(PROTOCOL_VERSION);
-    buf.push(opcode::PREDICT);
-    buf.extend_from_slice(&(rows as u32).to_le_bytes());
-    buf.extend_from_slice(&(features as u32).to_le_bytes());
-    for &x in batch {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
+    buf.resize(4 + payload, 0);
+    buf[0..4].copy_from_slice(&(payload as u32).to_le_bytes());
+    buf[4] = PROTOCOL_VERSION;
+    buf[5] = opcode::PREDICT;
+    buf[6..10].copy_from_slice(&(rows as u32).to_le_bytes());
+    buf[10..14].copy_from_slice(&(features as u32).to_le_bytes());
+    put_f32s(&mut buf[4 + REQUEST_HEADER_BYTES..], batch);
 }
 
 /// Parses a predict-request payload (the bytes after the length prefix),
@@ -211,7 +222,8 @@ pub fn decode_request(payload: &[u8], batch: &mut Vec<f32>) -> Result<RequestHea
             got: payload.len(),
         });
     }
-    read_f32s(&payload[REQUEST_HEADER_BYTES..], batch);
+    batch.resize(numbers, 0.0);
+    get_f32s(&payload[REQUEST_HEADER_BYTES..], batch);
     Ok(RequestHeader {
         rows: rows as usize,
         features: features as usize,
@@ -222,16 +234,13 @@ pub fn decode_request(payload: &[u8], batch: &mut Vec<f32>) -> Result<RequestHea
 /// replacing its contents.
 pub fn encode_response(buf: &mut Vec<u8>, status: u8, epoch: u64, scores: &[f32]) {
     let payload = RESPONSE_HEADER_BYTES + 4 * scores.len();
-    buf.clear();
-    buf.reserve(4 + payload);
-    buf.extend_from_slice(&(payload as u32).to_le_bytes());
-    buf.push(PROTOCOL_VERSION);
-    buf.push(status);
-    buf.extend_from_slice(&epoch.to_le_bytes());
-    buf.extend_from_slice(&(scores.len() as u32).to_le_bytes());
-    for &s in scores {
-        buf.extend_from_slice(&s.to_le_bytes());
-    }
+    buf.resize(4 + payload, 0);
+    buf[0..4].copy_from_slice(&(payload as u32).to_le_bytes());
+    buf[4] = PROTOCOL_VERSION;
+    buf[5] = status;
+    buf[6..14].copy_from_slice(&epoch.to_le_bytes());
+    buf[14..18].copy_from_slice(&(scores.len() as u32).to_le_bytes());
+    put_f32s(&mut buf[4 + RESPONSE_HEADER_BYTES..], scores);
 }
 
 /// Parses a response payload (the bytes after the length prefix).
@@ -255,8 +264,8 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
             got: payload.len(),
         });
     }
-    let mut scores = Vec::new();
-    read_f32s(&payload[RESPONSE_HEADER_BYTES..], &mut scores);
+    let mut scores = vec![0.0; count];
+    get_f32s(&payload[RESPONSE_HEADER_BYTES..], &mut scores);
     Ok(Response {
         status,
         epoch,
@@ -264,11 +273,20 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
     })
 }
 
-fn read_f32s(bytes: &[u8], out: &mut Vec<f32>) {
-    out.clear();
-    out.reserve(bytes.len() / 4);
-    for chunk in bytes.chunks_exact(4) {
-        out.push(f32::from_le_bytes(chunk.try_into().expect("4 bytes")));
+/// Stores `values` into `bytes`, four little-endian bytes each. Both
+/// slices are pre-sized, so on a little-endian host this is one block copy.
+fn put_f32s(bytes: &mut [u8], values: &[f32]) {
+    assert_eq!(bytes.len(), 4 * values.len(), "frame sized for its values");
+    for (chunk, value) in bytes.chunks_exact_mut(4).zip(values) {
+        chunk.copy_from_slice(&value.to_le_bytes());
+    }
+}
+
+/// Loads `values` from `bytes`; the inverse of [`put_f32s`].
+fn get_f32s(bytes: &[u8], values: &mut [f32]) {
+    assert_eq!(bytes.len(), 4 * values.len(), "values sized for the frame");
+    for (value, chunk) in values.iter_mut().zip(bytes.chunks_exact(4)) {
+        *value = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
     }
 }
 
@@ -298,10 +316,48 @@ pub fn read_frame<R: Read>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<bool
             format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
         ));
     }
-    buf.clear();
-    buf.resize(len, 0);
-    reader.read_exact(buf)?;
+    read_payload(reader, buf, len, |e| e.kind() == io::ErrorKind::Interrupted)?;
     Ok(true)
+}
+
+/// What a receive buffer may hold before any of a frame has arrived.
+const RECEIVE_STEP: usize = 1 << 16;
+
+/// Reads exactly `len` payload bytes into `buf`, leaving `buf.len() == len`.
+/// Errors that `retry` accepts are retried (a frame is committed once its
+/// length arrived); end-of-stream inside the payload is `UnexpectedEof`.
+///
+/// `buf` keeps what it held: bytes the reads below overwrite are not
+/// zeroed first, so a buffer that already fits costs one `read` into
+/// place. It is grown no further than `max(RECEIVE_STEP, twice the bytes
+/// received so far)`, so memory follows what a peer sent, not what its
+/// length prefix claimed.
+pub(crate) fn read_payload<R: Read>(
+    reader: &mut R,
+    buf: &mut Vec<u8>,
+    len: usize,
+    retry: impl Fn(&io::Error) -> bool,
+) -> io::Result<()> {
+    buf.truncate(len);
+    let mut filled = 0usize;
+    while filled < len {
+        let room = len.min(RECEIVE_STEP.max(2 * filled));
+        if buf.len() < room {
+            buf.resize(room, 0);
+        }
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "stream ended inside a frame payload",
+                ))
+            }
+            Ok(n) => filled += n,
+            Err(e) if retry(&e) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Writes an already-encoded frame (as built by the `encode_*` helpers)
@@ -418,6 +474,89 @@ mod tests {
             decode_request(&empty, &mut batch),
             Err(WireError::EmptyShape)
         );
+    }
+
+    /// Hands out `data` at most `chunk` bytes per `read`, recording for
+    /// each call how long the offered slice was and whether it still held
+    /// only `SENTINEL` bytes.
+    struct Dribble<'a> {
+        data: &'a [u8],
+        chunk: usize,
+        offered: Vec<(usize, bool)>,
+    }
+
+    const SENTINEL: u8 = 0xAA;
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.offered
+                .push((buf.len(), buf.iter().all(|&b| b == SENTINEL)));
+            let n = self.chunk.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_buffer_that_fits_is_read_into_place_without_being_zeroed() {
+        let data = [0x55u8; 1000];
+        let mut reader = Dribble {
+            data: &data,
+            chunk: usize::MAX,
+            offered: Vec::new(),
+        };
+        // Same length as the frame, then longer than it.
+        for held in [1000, 4000] {
+            reader.data = &data;
+            reader.offered.clear();
+            let mut buf = vec![SENTINEL; held];
+            read_payload(&mut reader, &mut buf, 1000, |_| false).expect("whole payload");
+            assert_eq!(
+                reader.offered,
+                [(1000, true)],
+                "one read, nothing re-zeroed"
+            );
+            assert_eq!(buf, data);
+        }
+    }
+
+    #[test]
+    fn a_receive_buffer_grows_only_as_bytes_arrive() {
+        // 64 MiB declared, 10 bytes sent: the client and the server path
+        // both fail with EOF holding one growth step, not the declared size.
+        let mut stream = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&[7u8; 10]);
+        let mut buf = Vec::new();
+        let err = read_frame(&mut io::Cursor::new(&stream), &mut buf).expect_err("EOF");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(buf.capacity() <= 128 << 10, "held {}", buf.capacity());
+        let mut buf = Vec::new();
+        let mut rest = io::Cursor::new(&stream[4..]);
+        let err = read_payload(&mut rest, &mut buf, MAX_FRAME_BYTES, |_| false).expect_err("EOF");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(buf.capacity() <= 128 << 10, "held {}", buf.capacity());
+
+        // A 1 MiB payload arriving 1000 bytes at a time: at every read the
+        // buffer holds at most max(64 KiB, twice what has arrived), and the
+        // payload comes out whole.
+        let data: Vec<u8> = (0..1usize << 20).map(|i| (i * 31 % 251) as u8).collect();
+        let mut reader = Dribble {
+            data: &data,
+            chunk: 1000,
+            offered: Vec::new(),
+        };
+        let mut buf = Vec::new();
+        read_payload(&mut reader, &mut buf, data.len(), |_| false).expect("whole payload");
+        assert_eq!(buf, data);
+        for (call, &(room, _)) in reader.offered.iter().enumerate() {
+            let arrived = call * 1000;
+            assert!(
+                arrived + room <= RECEIVE_STEP.max(2 * arrived),
+                "{} bytes held with {arrived} received",
+                arrived + room
+            );
+        }
     }
 
     #[test]

@@ -259,3 +259,32 @@ fn a_small_request_after_a_large_one_is_scored_from_its_own_values() {
         Some(2 * (1 << 18) + 3 * 7)
     );
 }
+
+/// A length prefix above the frame cap cannot be skipped over, so the
+/// connection ends — but with a `BAD_REQUEST` on the wire and in the
+/// counters, not a silent drop.
+#[test]
+fn an_oversized_length_prefix_is_answered_counted_and_closed() {
+    let hub = Arc::new(SnapshotHub::new());
+    let server = one_shard_server(&hub);
+    let mut peer = Peer::connect(server.local_addr());
+
+    let prefix = (wire::MAX_FRAME_BYTES as u32 + 1).to_le_bytes();
+    let response = peer.send(&prefix);
+    assert_eq!(response.status, status::BAD_REQUEST);
+    assert_eq!((response.epoch, response.scores.len()), (0, 0));
+    assert!(
+        !wire::read_frame(&mut peer.stream, &mut peer.payload).expect("clean close"),
+        "the server closes after refusing"
+    );
+    assert_eq!(counters_at(&server, 1), [1, 1, 0, 0, 0]);
+
+    // The shard is back to accepting.
+    let mut peer = Peer::connect(server.local_addr());
+    let response = peer.predict(&[0.5; FEATURES], FEATURES);
+    assert_eq!(response.status, status::NO_MODEL);
+    drop(peer);
+    let metrics = server.shutdown();
+    assert_eq!(metrics.counter(metric::BAD_REQUESTS), Some(1));
+    assert_eq!(metrics.counter(metric::REQUESTS), Some(2));
+}
