@@ -34,7 +34,8 @@ pub mod metric {
     pub const REQUESTS: &str = "serve.requests";
     /// Individual predictions returned (sum of OK batch sizes).
     pub const PREDICTIONS: &str = "serve.predictions";
-    /// Requests refused because the payload did not parse.
+    /// Requests refused because the payload did not parse or the length
+    /// prefix exceeded the frame cap.
     pub const BAD_REQUESTS: &str = "serve.bad_requests";
     /// Requests arriving before the first snapshot was published.
     pub const NO_MODEL: &str = "serve.no_model";

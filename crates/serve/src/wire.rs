@@ -501,15 +501,13 @@ mod tests {
     #[test]
     fn a_buffer_that_fits_is_read_into_place_without_being_zeroed() {
         let data = [0x55u8; 1000];
-        let mut reader = Dribble {
-            data: &data,
-            chunk: usize::MAX,
-            offered: Vec::new(),
-        };
-        // Same length as the frame, then longer than it.
+        // A buffer exactly as long as the frame, then one longer than it.
         for held in [1000, 4000] {
-            reader.data = &data;
-            reader.offered.clear();
+            let mut reader = Dribble {
+                data: &data,
+                chunk: usize::MAX,
+                offered: Vec::new(),
+            };
             let mut buf = vec![SENTINEL; held];
             read_payload(&mut reader, &mut buf, 1000, |_| false).expect("whole payload");
             assert_eq!(

@@ -25,6 +25,12 @@ const COUNTERS: [&str; 5] = [
     metric::SHAPE_MISMATCH,
     metric::PREDICTIONS,
 ];
+/// Indices into [`COUNTERS`].
+const REQUESTS: usize = 0;
+const BAD_REQUESTS: usize = 1;
+const NO_MODEL: usize = 2;
+const SHAPE_MISMATCH: usize = 3;
+const PREDICTIONS: usize = 4;
 
 fn one_shard_server(hub: &Arc<SnapshotHub>) -> PredictServer {
     PredictServer::start(Arc::clone(hub), &ServeConfig::new("127.0.0.1:0").shards(1))
@@ -90,7 +96,7 @@ fn counters_at(server: &PredictServer, requests: u64) -> [u64; 5] {
     loop {
         let metrics = server.metrics();
         let now = COUNTERS.map(|name| metrics.counter(name).unwrap_or(0));
-        if now[0] >= requests {
+        if now[REQUESTS] >= requests {
             return now;
         }
         assert!(
@@ -126,47 +132,57 @@ fn refusals_then_a_healthy_request(
     let mut step = |peer: &mut Peer, bytes: &[u8], want: u8, moved: usize, by: u64| {
         let response = peer.send(bytes);
         assert_eq!(response.status, want);
-        seen[0] += 1;
+        seen[REQUESTS] += 1;
         seen[moved] += by;
-        assert_eq!(counters_at(server, seen[0]), *seen, "after status {want}");
+        assert_eq!(
+            counters_at(server, seen[REQUESTS]),
+            *seen,
+            "after status {want}"
+        );
         response
     };
 
     // A feature count the model does not have.
     let mut frame = Vec::new();
     wire::encode_request(&mut frame, &values(rng, 2 * 3), 3);
-    let response = step(peer, &frame, status::SHAPE_MISMATCH, 3, 1);
+    let response = step(peer, &frame, status::SHAPE_MISMATCH, SHAPE_MISMATCH, 1);
     assert_eq!(response.epoch, EPOCH);
     assert!(response.scores.is_empty());
 
     // A version byte from the future.
     let mut frame = good_frame(rng);
     frame[4] = wire::PROTOCOL_VERSION + 1;
-    let response = step(peer, &frame, status::BAD_REQUEST, 1, 1);
+    let response = step(peer, &frame, status::BAD_REQUEST, BAD_REQUESTS, 1);
     assert_eq!((response.epoch, response.scores.len()), (0, 0));
 
     // An opcode nobody defined.
     let mut frame = good_frame(rng);
     frame[5] = 0xEE;
-    step(peer, &frame, status::BAD_REQUEST, 1, 1);
+    step(peer, &frame, status::BAD_REQUEST, BAD_REQUESTS, 1);
 
     // A payload longer, then one byte shorter, than its declared shape.
     let mut frame = good_frame(rng);
     frame.extend_from_slice(&1.0f32.to_le_bytes());
     set_prefix(&mut frame);
-    step(peer, &frame, status::BAD_REQUEST, 1, 1);
+    step(peer, &frame, status::BAD_REQUEST, BAD_REQUESTS, 1);
     let mut frame = good_frame(rng);
     frame.pop();
     set_prefix(&mut frame);
-    step(peer, &frame, status::BAD_REQUEST, 1, 1);
+    step(peer, &frame, status::BAD_REQUEST, BAD_REQUESTS, 1);
 
     // A payload too short to hold a header.
-    step(peer, &[2, 0, 0, 0, 1, 1], status::BAD_REQUEST, 1, 1);
+    step(
+        peer,
+        &[2, 0, 0, 0, 1, 1],
+        status::BAD_REQUEST,
+        BAD_REQUESTS,
+        1,
+    );
 
     // After all of that the same connection still serves, bit for bit.
     let batch = values(rng, 3 * FEATURES);
     wire::encode_request(&mut frame, &batch, FEATURES);
-    let response = step(peer, &frame, status::OK, 4, 3);
+    let response = step(peer, &frame, status::OK, PREDICTIONS, 3);
     assert_eq!(response.epoch, EPOCH);
     let mut expected = vec![0.0f32; 3];
     snapshot.score_batch(&batch, &mut expected);
@@ -185,8 +201,8 @@ fn every_refusal_is_answered_and_counted_and_the_connection_keeps_serving() {
     let response = peer.predict(&values(&mut rng, 2 * FEATURES), FEATURES);
     assert_eq!(response.status, status::NO_MODEL);
     assert_eq!((response.epoch, response.scores.len()), (0, 0));
-    seen[0] += 1;
-    seen[2] += 1;
+    seen[REQUESTS] += 1;
+    seen[NO_MODEL] += 1;
     assert_eq!(counters_at(&server, 1), seen);
 
     let snapshot = model(FEATURES);
