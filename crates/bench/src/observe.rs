@@ -27,7 +27,7 @@
 //! arithmetic, `cachesim` knows coherence, `buckwild-trace` knows what
 //! actually happened — the roofline is where the three meet.
 
-use buckwild::{Backend, ChaosSgdConfig, FaultPlan, Loss, NoopInjector, SgdConfig};
+use buckwild::{Backend, ChaosSgdConfig, FaultPlan, Loss, NoopTracer, SgdConfig};
 use buckwild_cachesim::{Machine, SgdWorkload, SimConfig};
 use buckwild_dataset::generate;
 use buckwild_dmgc::{RooflineEntry, RooflineReport, Signature};
@@ -80,7 +80,7 @@ pub fn reference_trace(seed: u64) -> Trace {
         .threads(2)
         .epochs(2)
         .seed(seed)
-        .train_traced(&problem.data, &NoopRecorder, &NoopInjector, &tracer)
+        .train_traced(&problem.data, &NoopRecorder, &tracer)
         .expect("reference configuration is valid");
     tracer.drain()
 }
@@ -125,7 +125,7 @@ fn measured_gnps(signature: &Signature, seed: u64) -> Option<f64> {
         .threads(1)
         .epochs(2)
         .seed(seed)
-        .train_traced(&problem.data, &NoopRecorder, &NoopInjector, &tracer)
+        .train_traced(&problem.data, &NoopRecorder, &tracer)
         .ok()?;
     traced_kernel_gnps(&tracer.drain())
 }
@@ -212,7 +212,7 @@ fn measured_backend_gnps(backend: Backend, seed: u64) -> Option<f64> {
         .delta_every(BACKEND_DELTA_EVERY)
         .epochs(2)
         .seed(seed)
-        .train_traced(&problem.data, &NoopRecorder, &NoopInjector, &tracer)
+        .train_traced(&problem.data, &NoopRecorder, &tracer)
         .ok()?;
     median_kernel_gnps(&tracer.drain())
 }
@@ -334,7 +334,7 @@ fn attach_chaos_distributions(report: &mut RooflineReport, seed: u64) {
     let run = ChaosSgdConfig::new(Loss::Logistic, plan)
         .threads(4)
         .epochs(3)
-        .train_with(&problem.data, &recorder);
+        .train_traced(&problem.data, &recorder, &NoopTracer);
     if run.is_err() {
         return;
     }

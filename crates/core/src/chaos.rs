@@ -1,6 +1,6 @@
 //! The deterministic chaos engine: virtual-time SGD under a fault plan.
 //!
-//! The threaded engine ([`SgdConfig::train_with_faults`]) injects faults
+//! The threaded engine ([`SgdConfig::faults`]) injects faults
 //! into real Hogwild! threads, where the fault *schedule* is reproducible
 //! but the instruction interleaving is not. This module trades real
 //! parallelism for a single-OS-thread simulator with round-robin virtual
@@ -14,7 +14,7 @@
 //! and per-line stale read views (the paper's §6.2 obstinate cache:
 //! `FaultPlan::new(seed).obstinacy(q)` is the Figure 6f experiment).
 //!
-//! [`SgdConfig::train_with_faults`]: crate::SgdConfig::train_with_faults
+//! [`SgdConfig::faults`]: crate::SgdConfig::faults
 
 use buckwild_chaos::metric as chaos_metric;
 use buckwild_chaos::{FaultPlan, IterFate, WorkerRun, WriteFate};
@@ -135,27 +135,14 @@ impl ChaosSgdConfig {
     /// input.
     pub fn train(&self, data: &DenseDataset<f32>) -> Result<ChaosReport, TrainError> {
         let recorder = ShardedRecorder::new(self.threads.max(1));
-        self.train_with(data, &recorder)
+        self.train_traced(data, &recorder, &NoopTracer)
     }
 
     /// Runs the deterministic engine, recording telemetry through the
-    /// given [`Recorder`]. The simulator records no wall-clock metrics, so
-    /// the full snapshot — and therefore the whole [`ChaosReport`] — is a
-    /// pure function of the configuration and seeds.
-    ///
-    /// # Errors
-    ///
-    /// See [`ChaosSgdConfig::train`].
-    pub fn train_with<R: Recorder>(
-        &self,
-        data: &DenseDataset<f32>,
-        recorder: &R,
-    ) -> Result<ChaosReport, TrainError> {
-        self.train_traced(data, recorder, &NoopTracer)
-    }
-
-    /// Runs the deterministic engine, recording spans through the given
-    /// [`Tracer`] in addition to recorder telemetry.
+    /// given [`Recorder`] and spans through the given [`Tracer`]. The
+    /// simulator records no wall-clock metrics, so the full snapshot — and
+    /// therefore the whole [`ChaosReport`] — is a pure function of the
+    /// configuration and seeds.
     ///
     /// Spans are stamped with the *scheduler tick* (use a virtual-clock
     /// tracer such as `RingTracer::virtual_clock`): one-tick minibatch

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::sync::OnceLock;
 
+use buckwild_chaos::FaultPlan;
 use buckwild_dmgc::Signature;
 use buckwild_fixed::Rounding;
 use buckwild_kernels::cost::QuantizerKind;
@@ -226,6 +227,9 @@ pub struct SgdConfig {
     pub seed: u64,
     /// Evaluate and record the training loss after each epoch.
     pub record_losses: bool,
+    /// Faults injected into the run (`None` = none); set with
+    /// [`SgdConfig::faults`].
+    pub(crate) faults: Option<FaultPlan>,
     /// Observer called after each epoch; may stop training early.
     pub on_epoch: Option<EpochObserver>,
     /// Snapshot publication hook called after each epoch with the
@@ -249,6 +253,7 @@ impl fmt::Debug for SgdConfig {
             .field("epochs", &self.epochs)
             .field("seed", &self.seed)
             .field("record_losses", &self.record_losses)
+            .field("faults", &self.faults)
             .field("on_epoch", &self.on_epoch.as_ref().map(|_| "<observer>"))
             .field(
                 "on_snapshot",
@@ -283,6 +288,7 @@ impl PartialEq for SgdConfig {
             && self.epochs == other.epochs
             && self.seed == other.seed
             && self.record_losses == other.record_losses
+            && self.faults == other.faults
             && observers_eq
             && snapshots_eq
     }
@@ -307,6 +313,7 @@ impl SgdConfig {
             epochs: 10,
             seed: 0,
             record_losses: true,
+            faults: None,
             on_epoch: None,
             on_snapshot: None,
         }
@@ -406,6 +413,24 @@ impl SgdConfig {
     #[must_use]
     pub fn record_losses(mut self, record: bool) -> Self {
         self.record_losses = record;
+        self
+    }
+
+    /// Injects a seeded [`FaultPlan`] into every run of this configuration.
+    ///
+    /// The plan's stalls, write drops, progress skew, and crashes are
+    /// injected into the real threaded Hogwild! loop; crashes recover from
+    /// a model checkpoint taken at epoch boundaries. The fault *schedule*
+    /// is a pure function of the plan seed, so a failure mode observed
+    /// once can be replayed exactly. (Write delays and stale read views
+    /// need a scheduler clock, which real threads do not have; those knobs
+    /// are exercised by the deterministic engine in
+    /// [`ChaosSgdConfig`](crate::ChaosSgdConfig), and a delay here applies
+    /// the write immediately.) An invalid plan makes training return
+    /// [`TrainError::Plan`](crate::TrainError::Plan).
+    #[must_use]
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = Some(plan);
         self
     }
 

@@ -24,9 +24,9 @@
 //! returning a [`TrainReport`] with the recovered model, per-epoch losses,
 //! and efficiency metrics (wall time, iterations, GNPS) derived from the
 //! run's telemetry snapshot. [`SgdConfig::train_traced`] accepts any
-//! `buckwild_telemetry::Recorder` for custom instrumentation, and
-//! [`SgdConfig::on_epoch`] installs an observer that can stop training
-//! early.
+//! `buckwild_telemetry::Recorder` and [`Tracer`] for custom
+//! instrumentation, and [`SgdConfig::on_epoch`] installs an observer that
+//! can stop training early.
 //!
 //! ```
 //! use buckwild::{Loss, SgdConfig};
@@ -47,14 +47,19 @@
 //! [`FaultPlan`] — worker stalls, dropped or delayed shared-model writes,
 //! obstinate-cache read staleness, progress skew, and mid-epoch crashes
 //! with checkpoint recovery — and the engines execute it deterministically.
-//! [`SgdConfig::train_with_faults`] injects into the threaded Hogwild
-//! engine; [`ChaosSgdConfig`] runs the single-thread deterministic
-//! simulator whose [`ChaosReport`] is bit-reproducible per seed. The
-//! common import surface lives in [`prelude`].
+//! A plan is part of the configuration: [`SgdConfig::faults`] injects it
+//! into the threaded Hogwild engine, [`sync::SyncSgdConfig::faults`] into
+//! the synchronous one, and [`ChaosSgdConfig`] (which takes its plan in
+//! `new`) runs the single-thread deterministic simulator whose
+//! [`ChaosReport`] is bit-reproducible per seed. The common import surface
+//! lives in [`prelude`].
 //!
 //! Observability: the `buckwild-trace` crate defines zero-cost span
 //! tracing on the same monomorphization discipline as the telemetry
-//! recorder. The `*_traced` entry points ([`SgdConfig::train_traced`],
+//! recorder. Every engine has exactly two entry points, `train(&data)` and
+//! `train_traced(&data, …)`: the configuration decides what a run computes,
+//! fault plan included, and `train_traced`'s arguments decide who watches
+//! it. The traced entry points ([`SgdConfig::train_traced`],
 //! [`ChaosSgdConfig::train_traced`], [`sync::SyncSgdConfig::train_traced`])
 //! record per-worker epoch/minibatch/kernel/write/fault timelines into a
 //! [`RingTracer`], exportable as Chrome trace-event JSON
@@ -105,10 +110,7 @@ pub use predict::{EpochSnapshot, FixedWords, Predictor, QuantizedModel};
 pub use train::{metric, TrainControl, TrainData, TrainError, TrainProgress, TrainReport};
 
 // Re-export the vocabulary types callers need to configure training.
-pub use buckwild_chaos::{
-    CrashSpec, FaultPlan, Injector, IterFate, NoopInjector, NoopWorkerInjector, PlanError,
-    PlanInjector, PlanWorker, WorkerInjector, WorkerRun, WriteFate,
-};
+pub use buckwild_chaos::{CrashSpec, FaultPlan, IterFate, PlanError, WorkerRun, WriteFate};
 pub use buckwild_dmgc::Signature;
 pub use buckwild_fixed::Rounding;
 pub use buckwild_kernels::{isa as kernel_isa, KernelIsa};

@@ -1,8 +1,8 @@
 //! One-stop import surface for the public training API.
 //!
 //! Pulls in the three engines ([`SgdConfig`], [`SyncSgdConfig`],
-//! [`ChaosSgdConfig`]), their reports and error types, the fault-injection
-//! vocabulary ([`FaultPlan`] and the injector traits), and the
+//! [`ChaosSgdConfig`]), their reports and error types, the fault-plan
+//! vocabulary ([`FaultPlan`] and the fates it schedules), and the
 //! configuration enums. Examples and downstream code should start with:
 //!
 //! ```
@@ -27,10 +27,7 @@ pub use crate::predict::{EpochSnapshot, FixedWords, Predictor, QuantizedModel};
 pub use crate::sync::{SyncFaultReport, SyncSgdConfig};
 pub use crate::train::{TrainControl, TrainData, TrainError, TrainProgress, TrainReport};
 
-pub use buckwild_chaos::{
-    CrashSpec, FaultPlan, Injector, IterFate, NoopInjector, NoopWorkerInjector, PlanError,
-    PlanInjector, PlanWorker, WorkerInjector, WorkerRun, WriteFate,
-};
+pub use buckwild_chaos::{CrashSpec, FaultPlan, IterFate, PlanError, WorkerRun, WriteFate};
 pub use buckwild_dmgc::Signature;
 pub use buckwild_fixed::Rounding;
 pub use buckwild_prng::PrngKind;

@@ -24,11 +24,11 @@
 //! use buckwild_dataset::generate;
 //!
 //! let problem = generate::logistic_dense(32, 400, 1);
-//! let losses = SyncSgdConfig::new(Loss::Logistic, 1) // 1-bit comm
+//! let report = SyncSgdConfig::new(Loss::Logistic, 1) // 1-bit comm
 //!     .error_feedback(true)
 //!     .epochs(6)
 //!     .train(&problem.data)?;
-//! assert!(losses.last().unwrap() < &0.6);
+//! assert!(report.final_loss() < 0.6);
 //! # Ok::<(), buckwild::TrainError>(())
 //! ```
 
@@ -67,10 +67,9 @@ pub struct SyncSgdConfig {
     pub step_decay: f32,
     /// Passes over the data.
     pub epochs: usize,
-    /// Experiment seed (drives the fault schedule of
-    /// [`SyncSgdConfig::train_with_faults`]; the fault-free algorithm is
-    /// deterministic).
-    pub seed: u64,
+    /// Faults injected into the run (`None` = none); set with
+    /// [`SyncSgdConfig::faults`].
+    faults: Option<FaultPlan>,
     /// Observer called after each epoch; may stop training early.
     pub on_epoch: Option<EpochObserver>,
 }
@@ -86,7 +85,7 @@ impl std::fmt::Debug for SyncSgdConfig {
             .field("step_size", &self.step_size)
             .field("step_decay", &self.step_decay)
             .field("epochs", &self.epochs)
-            .field("seed", &self.seed)
+            .field("faults", &self.faults)
             .field("on_epoch", &self.on_epoch.as_ref().map(|_| "<observer>"))
             .finish()
     }
@@ -107,7 +106,7 @@ impl PartialEq for SyncSgdConfig {
             && self.step_size == other.step_size
             && self.step_decay == other.step_decay
             && self.epochs == other.epochs
-            && self.seed == other.seed
+            && self.faults == other.faults
             && observers_eq
     }
 }
@@ -125,7 +124,7 @@ impl SyncSgdConfig {
             step_size: 0.5,
             step_decay: 0.9,
             epochs: 10,
-            seed: 0,
+            faults: None,
             on_epoch: None,
         }
     }
@@ -172,11 +171,14 @@ impl SyncSgdConfig {
         self
     }
 
-    /// Sets the experiment seed (the fault-schedule stream of
-    /// [`SyncSgdConfig::train_with_faults`]).
+    /// Injects a seeded [`FaultPlan`]: each round, each worker's gradient
+    /// message is dropped with the plan's write-drop probability (the
+    /// worker skips the round entirely — the parameter server averages
+    /// over the survivors). Delays collapse to the round barrier, so only
+    /// the drop knob bites here. The schedule comes from the plan's seed.
     #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = Some(plan);
         self
     }
 
@@ -205,14 +207,16 @@ impl SyncSgdConfig {
         }
     }
 
-    /// Runs synchronous training; returns per-epoch mean losses.
+    /// Runs synchronous training; returns the per-epoch mean losses and
+    /// the messages the configured [`faults`](Self::faults) dropped.
     ///
     /// # Errors
     ///
+    /// [`TrainError::Plan`] for an invalid fault plan;
     /// [`TrainError::Config`] for invalid parameters;
     /// [`TrainError::EmptyDataset`] for empty input.
-    pub fn train(&self, data: &DenseDataset<f32>) -> Result<Vec<f64>, TrainError> {
-        Ok(self.run(data, None, &NoopTracer)?.into_epoch_losses())
+    pub fn train(&self, data: &DenseDataset<f32>) -> Result<SyncFaultReport, TrainError> {
+        self.train_traced(data, &NoopTracer)
     }
 
     /// Runs synchronous training while recording span timelines through
@@ -223,45 +227,16 @@ impl SyncSgdConfig {
     ///
     /// # Errors
     ///
-    /// [`TrainError::Plan`] for invalid plans, otherwise as
-    /// [`SyncSgdConfig::train`].
+    /// See [`SyncSgdConfig::train`].
     pub fn train_traced<T: Tracer>(
         &self,
         data: &DenseDataset<f32>,
-        plan: Option<&FaultPlan>,
         tracer: &T,
     ) -> Result<SyncFaultReport, TrainError> {
+        let plan = self.faults.as_ref();
         if let Some(p) = plan {
             p.validate()?;
         }
-        self.run(data, plan, tracer)
-    }
-
-    /// Runs synchronous training under a seeded [`FaultPlan`]: each round,
-    /// each worker's gradient message is dropped with the plan's
-    /// write-drop probability (the worker skips the round entirely — the
-    /// parameter server averages over the survivors). Delays collapse to
-    /// the round barrier, so only the drop knob bites here.
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::Plan`] for invalid plans, otherwise as
-    /// [`SyncSgdConfig::train`].
-    pub fn train_with_faults(
-        &self,
-        data: &DenseDataset<f32>,
-        plan: &FaultPlan,
-    ) -> Result<SyncFaultReport, TrainError> {
-        plan.validate()?;
-        self.run(data, Some(plan), &NoopTracer)
-    }
-
-    fn run<T: Tracer>(
-        &self,
-        data: &DenseDataset<f32>,
-        plan: Option<&FaultPlan>,
-        tracer: &T,
-    ) -> Result<SyncFaultReport, TrainError> {
         if self.comm_bits == 0 || self.comm_bits > 32 {
             return Err(TrainError::Config(ConfigError::InvalidParameter(
                 "communication bits (1..=32)",
@@ -275,6 +250,11 @@ impl SyncSgdConfig {
         if self.step_size <= 0.0 || !self.step_size.is_finite() {
             return Err(TrainError::Config(ConfigError::InvalidParameter(
                 "step size",
+            )));
+        }
+        if self.step_decay <= 0.0 || !self.step_decay.is_finite() {
+            return Err(TrainError::Config(ConfigError::InvalidParameter(
+                "step decay",
             )));
         }
         if data.examples() == 0 {
@@ -400,12 +380,6 @@ impl SyncFaultReport {
         &self.epoch_losses
     }
 
-    /// Consumes the report, returning the per-epoch losses.
-    #[must_use]
-    pub fn into_epoch_losses(self) -> Vec<f64> {
-        self.epoch_losses
-    }
-
     /// The last epoch's training loss.
     ///
     /// # Panics
@@ -485,10 +459,10 @@ mod tests {
     #[test]
     fn full_precision_sync_converges() {
         let p = problem();
-        let losses = SyncSgdConfig::new(Loss::Logistic, 32)
+        let report = SyncSgdConfig::new(Loss::Logistic, 32)
             .train(&p.data)
             .expect("valid");
-        assert!(losses.last().unwrap() < &0.45, "{losses:?}");
+        assert!(report.final_loss() < 0.45, "{report:?}");
     }
 
     #[test]
@@ -504,7 +478,7 @@ mod tests {
             .train(&p.data)
             .expect("valid");
         assert!(
-            onebit.last().unwrap() < &(full.last().unwrap() + 0.1),
+            onebit.final_loss() < full.final_loss() + 0.1,
             "1-bit {onebit:?} vs full {full:?}"
         );
     }
@@ -521,7 +495,7 @@ mod tests {
             .train(&p.data)
             .expect("valid");
         assert!(
-            with.last().unwrap() < without.last().unwrap(),
+            with.final_loss() < without.final_loss(),
             "with {with:?} vs without {without:?}"
         );
     }
@@ -530,11 +504,10 @@ mod tests {
     fn intermediate_widths_interpolate() {
         let p = problem();
         let run = |bits: u32| {
-            *SyncSgdConfig::new(Loss::Logistic, bits)
+            SyncSgdConfig::new(Loss::Logistic, bits)
                 .train(&p.data)
                 .expect("valid")
-                .last()
-                .unwrap()
+                .final_loss()
         };
         let full = run(32);
         let eight = run(8);
@@ -583,8 +556,8 @@ mod tests {
         let config = SyncSgdConfig::new(Loss::Logistic, 8).workers(4).epochs(3);
         let plain = config.train(&p.data).expect("valid");
         let tracer = RingTracer::new();
-        let report = config.train_traced(&p.data, None, &tracer).expect("valid");
-        assert_eq!(report.epoch_losses(), plain.as_slice());
+        let report = config.train_traced(&p.data, &tracer).expect("valid");
+        assert_eq!(report, plain);
         let trace = tracer.drain();
         let count = |phase: Phase| trace.events().iter().filter(|e| e.phase == phase).count();
         // One epoch span per epoch, on the driver row.
@@ -612,7 +585,8 @@ mod tests {
         let report = SyncSgdConfig::new(Loss::Logistic, 8)
             .workers(4)
             .epochs(2)
-            .train_traced(&p.data, Some(&plan), &tracer)
+            .faults(plan)
+            .train_traced(&p.data, &tracer)
             .expect("valid");
         let trace = tracer.drain();
         let faults = trace

@@ -7,7 +7,8 @@
 //! [`TrainReport`] efficiency numbers from them, while
 //! [`SgdConfig::train_traced`] lets callers supply their own recorder
 //! (including `NoopRecorder`, which compiles every instrumentation point
-//! away), injector and tracer.
+//! away) and tracer. Faults come from the configuration
+//! ([`SgdConfig::faults`]), never from an argument.
 //!
 //! Every configuration runs the same two functions: `worker_loop`, the
 //! SGD iteration written against a [`ModelStore`] (where the model lives)
@@ -18,9 +19,7 @@ use std::num::NonZeroU32;
 use std::time::Instant;
 
 use buckwild_chaos::metric as chaos_metric;
-use buckwild_chaos::{
-    FaultPlan, Injector, IterFate, NoopInjector, PlanError, PlanInjector, WorkerInjector,
-};
+use buckwild_chaos::{Injector, IterFate, NoopInjector, PlanError, PlanInjector, WorkerInjector};
 use buckwild_dataset::{DenseDataset, Label, SparseDataset, SparseExample};
 use buckwild_fixed::{FixedSpec, Rounding};
 use buckwild_kernels::cost::QuantizerKind;
@@ -989,56 +988,43 @@ impl SgdConfig {
     /// # Errors
     ///
     /// [`TrainError::Config`] for invalid configurations,
+    /// [`TrainError::Plan`] for an invalid fault plan,
     /// [`TrainError::EmptyDataset`] for empty input.
     pub fn train<D: TrainData>(&self, data: &D) -> Result<TrainReport, TrainError> {
         let recorder = ShardedRecorder::new(self.threads.max(1));
-        self.train_traced(data, &recorder, &NoopInjector, &NoopTracer)
-    }
-
-    /// Trains under a seeded [`FaultPlan`], collecting telemetry with a
-    /// sharded recorder.
-    ///
-    /// The plan's stalls, write drops, progress skew, and crashes are
-    /// injected into the real threaded Hogwild! loop; crashes recover from
-    /// a model checkpoint taken at epoch boundaries. The fault *schedule*
-    /// is a pure function of the plan seed, so a failure mode observed
-    /// once can be replayed exactly. (Write delays and stale read views
-    /// need a scheduler clock, which real threads do not have; those knobs
-    /// are exercised by the deterministic engine in
-    /// [`ChaosSgdConfig`](crate::ChaosSgdConfig), and a delay here applies
-    /// the write immediately.)
-    ///
-    /// # Errors
-    ///
-    /// [`TrainError::Plan`] for invalid plans, otherwise as
-    /// [`SgdConfig::train`].
-    pub fn train_with_faults<D: TrainData>(
-        &self,
-        data: &D,
-        plan: &FaultPlan,
-    ) -> Result<TrainReport, TrainError> {
-        let injector = PlanInjector::new(plan.clone())?;
-        let recorder = ShardedRecorder::new(self.threads.max(1));
-        self.train_traced(data, &recorder, &injector, &NoopTracer)
+        self.train_traced(data, &recorder, &NoopTracer)
     }
 
     /// The fully general entry point: records telemetry through the given
-    /// [`Recorder`], threads every iteration and model write through the
-    /// given [`Injector`], and records span timelines through the given
-    /// [`Tracer`].
+    /// [`Recorder`] and span timelines through the given [`Tracer`],
+    /// injecting the configuration's [`faults`](SgdConfig::faults) if any.
     ///
-    /// With `NoopRecorder`, [`NoopInjector`] or [`NoopTracer`] the
-    /// corresponding instrumentation monomorphizes away (a `NoopRecorder`
-    /// run reports zero efficiency metrics; the model and per-epoch
-    /// losses are unaffected). Workers mark minibatch / gradient-kernel /
-    /// model-write / stall spans; the driver thread marks one epoch span
-    /// per epoch (on timeline row `threads`) and a recovery span per
-    /// checkpoint rollback.
+    /// With `NoopRecorder` or [`NoopTracer`] the corresponding
+    /// instrumentation monomorphizes away (a `NoopRecorder` run reports
+    /// zero efficiency metrics; the model and per-epoch losses are
+    /// unaffected), and a run without faults compiles to the uninjected
+    /// loop. Workers mark minibatch / gradient-kernel / model-write / stall
+    /// spans; the driver thread marks one epoch span per epoch (on
+    /// timeline row `threads`) and a recovery span per checkpoint rollback.
     ///
     /// # Errors
     ///
     /// See [`SgdConfig::train`].
-    pub fn train_traced<D: TrainData, R: Recorder, I: Injector, T: Tracer>(
+    pub fn train_traced<D: TrainData, R: Recorder, T: Tracer>(
+        &self,
+        data: &D,
+        recorder: &R,
+        tracer: &T,
+    ) -> Result<TrainReport, TrainError> {
+        match &self.faults {
+            None => self.run(data, recorder, &NoopInjector, tracer),
+            Some(plan) => self.run(data, recorder, &PlanInjector::new(plan.clone())?, tracer),
+        }
+    }
+
+    /// Validates, prepares the data and builds the backend, then hands
+    /// both to the epoch driver.
+    fn run<D: TrainData, R: Recorder, I: Injector, T: Tracer>(
         &self,
         data: &D,
         recorder: &R,
@@ -1239,6 +1225,7 @@ impl SgdConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use buckwild_chaos::FaultPlan;
     use buckwild_dataset::generate;
     use buckwild_telemetry::NoopRecorder;
 
@@ -1384,7 +1371,7 @@ mod tests {
         let p = generate::logistic_dense(32, 400, 5);
         let instrumented = logistic_config().train(&p.data).unwrap();
         let silent = logistic_config()
-            .train_traced(&p.data, &NoopRecorder, &NoopInjector, &NoopTracer)
+            .train_traced(&p.data, &NoopRecorder, &NoopTracer)
             .unwrap();
         // Same training result either way...
         assert_eq!(silent.model(), instrumented.model());
@@ -1403,7 +1390,7 @@ mod tests {
         let report = logistic_config()
             .epochs(2)
             .threads(2)
-            .train_traced(&p.data, &NoopRecorder, &NoopInjector, &tracer)
+            .train_traced(&p.data, &NoopRecorder, &tracer)
             .unwrap();
         assert!(report.final_loss().is_finite());
         let trace = tracer.drain();
@@ -1429,11 +1416,11 @@ mod tests {
         let p = generate::logistic_dense(32, 200, 16);
         let config = logistic_config().signature("D8M8".parse().unwrap());
         let plain = config
-            .train_traced(&p.data, &NoopRecorder, &NoopInjector, &NoopTracer)
+            .train_traced(&p.data, &NoopRecorder, &NoopTracer)
             .unwrap();
         let tracer = RingTracer::new();
         let traced = config
-            .train_traced(&p.data, &NoopRecorder, &NoopInjector, &tracer)
+            .train_traced(&p.data, &NoopRecorder, &tracer)
             .unwrap();
         assert_eq!(plain.model(), traced.model());
         assert_eq!(plain.epoch_losses(), traced.epoch_losses());
@@ -1513,16 +1500,19 @@ mod tests {
     fn injected_drops_are_counted_and_benign_noop_matches() {
         let p = generate::logistic_dense(32, 200, 16);
         let config = logistic_config().signature("D8M8".parse().unwrap());
-        // A benign plan must not perturb training relative to NoopInjector.
+        // A benign plan must not perturb training relative to no plan.
         let benign = config
-            .train_with_faults(&p.data, &FaultPlan::new(9))
+            .clone()
+            .faults(FaultPlan::new(9))
+            .train(&p.data)
             .unwrap();
         let plain = config.train(&p.data).unwrap();
         assert_eq!(benign.model(), plain.model());
         assert_eq!(benign.epoch_losses(), plain.epoch_losses());
         // Certain drop: every nonzero update is discarded and counted.
         let dropped = config
-            .train_with_faults(&p.data, &FaultPlan::new(9).drop_writes(1.0))
+            .faults(FaultPlan::new(9).drop_writes(1.0))
+            .train(&p.data)
             .unwrap();
         assert!(
             dropped
@@ -1540,7 +1530,8 @@ mod tests {
         let p = generate::logistic_dense(16, 100, 17);
         let report = logistic_config()
             .epochs(2)
-            .train_with_faults(&p.data, &FaultPlan::new(4).stalls(1.0, 1))
+            .faults(FaultPlan::new(4).stalls(1.0, 1))
+            .train(&p.data)
             .unwrap();
         assert_eq!(report.metrics().counter(chaos_metric::STALLS), Some(200));
         assert_eq!(
@@ -1558,7 +1549,7 @@ mod tests {
         let p = generate::logistic_dense(32, 400, 5);
         let clean = logistic_config().train(&p.data).unwrap();
         let plan = FaultPlan::new(21).crash(0, 2, 50);
-        let crashed = logistic_config().train_with_faults(&p.data, &plan).unwrap();
+        let crashed = logistic_config().faults(plan).train(&p.data).unwrap();
         assert_eq!(crashed.metrics().counter(chaos_metric::RECOVERIES), Some(1));
         assert!(
             crashed
@@ -1581,7 +1572,8 @@ mod tests {
     fn invalid_plan_surfaces() {
         let p = generate::logistic_dense(8, 20, 17);
         let err = logistic_config()
-            .train_with_faults(&p.data, &FaultPlan::new(0).drop_writes(2.0))
+            .faults(FaultPlan::new(0).drop_writes(2.0))
+            .train(&p.data)
             .unwrap_err();
         assert!(matches!(err, TrainError::Plan(_)));
     }

@@ -75,10 +75,8 @@ fn main() {
     let threaded = SgdConfig::new(Loss::Logistic)
         .threads(4)
         .epochs(6)
-        .train_with_faults(
-            &problem.data,
-            &FaultPlan::new(7).stalls(0.1, 1).crash(0, 2, 40),
-        )
+        .faults(FaultPlan::new(7).stalls(0.1, 1).crash(0, 2, 40))
+        .train(&problem.data)
         .expect("valid config");
     println!(
         "\nthreaded engine: final loss {:.4}  chaos.stalls {:?}  chaos.recoveries {:?}",

@@ -17,12 +17,12 @@ fn main() {
     );
     for bits in [32u32, 8, 4, 1] {
         let config = SyncSgdConfig::new(Loss::Logistic, bits).epochs(10);
-        let losses = config.train(&problem.data).expect("valid config");
+        let report = config.train(&problem.data).expect("valid config");
         println!(
             "{:<10} {:>14} {:>12.4}",
             config.signature().to_string(),
             bits,
-            losses.last().expect("nonempty")
+            report.final_loss()
         );
     }
     println!();
@@ -38,8 +38,8 @@ fn main() {
         .expect("valid config");
     println!(
         "1-bit with error feedback: {:.4}; without: {:.4}",
-        with.last().expect("nonempty"),
-        without.last().expect("nonempty")
+        with.final_loss(),
+        without.final_loss()
     );
     println!(
         "\nCarrying the quantization residual (Seide et al.'s trick) is what makes \

@@ -168,10 +168,10 @@ fn main() {
             .signature(sig.parse().expect("static signature"));
         let report = match &tracer {
             Some(tracer) => config
-                .train_traced(&problem.data, &*recorder, &NoopInjector, tracer)
+                .train_traced(&problem.data, &*recorder, tracer)
                 .expect("valid config"),
             None if observing => config
-                .train_traced(&problem.data, &*recorder, &NoopInjector, &NoopTracer)
+                .train_traced(&problem.data, &*recorder, &NoopTracer)
                 .expect("valid config"),
             None => config.train(&problem.data).expect("valid config"),
         };

@@ -152,7 +152,8 @@ fn sharded_backend_counts_injected_faults() {
         .backend(Backend::ShardedDelta)
         .threads(2)
         .epochs(2)
-        .train_with_faults(&p.data, &FaultPlan::new(11).stalls(0.5, 1).drop_writes(0.3))
+        .faults(FaultPlan::new(11).stalls(0.5, 1).drop_writes(0.3))
+        .train(&p.data)
         .unwrap();
     let stalls = report.metrics().counter(buckwild_chaos::metric::STALLS);
     let dropped = report
@@ -171,7 +172,8 @@ fn sharded_crash_recovery_converges_near_clean_loss() {
         .epochs(6);
     let clean = config.clone().train(&p.data).unwrap();
     let faulty = config
-        .train_with_faults(&p.data, &FaultPlan::new(31).crash(0, 2, 50))
+        .faults(FaultPlan::new(31).crash(0, 2, 50))
+        .train(&p.data)
         .unwrap();
     assert_eq!(
         faulty.metrics().counter(buckwild_chaos::metric::RECOVERIES),
@@ -194,12 +196,7 @@ fn sharded_traced_run_captures_delta_sync_phase() {
         .threads(2)
         .delta_every(2)
         .epochs(2)
-        .train_traced(
-            &p.data,
-            &buckwild_telemetry::NoopRecorder,
-            &NoopInjector,
-            &tracer,
-        )
+        .train_traced(&p.data, &buckwild_telemetry::NoopRecorder, &tracer)
         .unwrap();
     let trace = tracer.drain();
     assert!(
@@ -247,12 +244,7 @@ impl WorkerTracer for OrderWorker {
 fn span_shape<D: TrainData>(config: &SgdConfig, data: &D) -> Vec<(usize, Phase, u64)> {
     let tracer = OrderTracer::default();
     config
-        .train_traced(
-            data,
-            &buckwild_telemetry::NoopRecorder,
-            &NoopInjector,
-            &tracer,
-        )
+        .train_traced(data, &buckwild_telemetry::NoopRecorder, &tracer)
         .unwrap();
     let log = std::mem::take(&mut *tracer.0.lock().unwrap());
     log.into_iter()

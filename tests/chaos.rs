@@ -99,9 +99,11 @@ fn periodic_checkpoints_bound_replay_tighter() {
 #[test]
 fn threaded_engine_counts_injected_faults() {
     let p = generate::logistic_dense(32, 300, 29);
-    let config = SgdConfig::new(Loss::Logistic).threads(2).epochs(2);
-    let report = config
-        .train_with_faults(&p.data, &FaultPlan::new(11).stalls(0.5, 1).drop_writes(0.3))
+    let report = SgdConfig::new(Loss::Logistic)
+        .threads(2)
+        .epochs(2)
+        .faults(FaultPlan::new(11).stalls(0.5, 1).drop_writes(0.3))
+        .train(&p.data)
         .unwrap();
     let stalls = report.metrics().counter(buckwild_chaos::metric::STALLS);
     let dropped = report
@@ -117,7 +119,8 @@ fn threaded_crash_recovery_converges_near_clean_loss() {
     let config = SgdConfig::new(Loss::Logistic).threads(2).epochs(6);
     let clean = config.train(&p.data).unwrap();
     let faulty = config
-        .train_with_faults(&p.data, &FaultPlan::new(31).crash(0, 2, 50))
+        .faults(FaultPlan::new(31).crash(0, 2, 50))
+        .train(&p.data)
         .unwrap();
     assert_eq!(
         faulty.metrics().counter(buckwild_chaos::metric::RECOVERIES),
@@ -136,9 +139,7 @@ fn benign_plan_matches_uninjected_training() {
     let p = generate::logistic_dense(24, 200, 37);
     let config = SgdConfig::new(Loss::Logistic).threads(1).epochs(3);
     let plain = config.train(&p.data).unwrap();
-    let benign = config
-        .train_with_faults(&p.data, &FaultPlan::new(99))
-        .unwrap();
+    let benign = config.faults(FaultPlan::new(99)).train(&p.data).unwrap();
     assert_eq!(plain.model(), benign.model());
     assert_eq!(plain.epoch_losses(), benign.epoch_losses());
 }
@@ -148,22 +149,19 @@ fn sync_engine_drops_messages_and_still_converges() {
     let p = generate::logistic_dense(32, 400, 41);
     let config = SyncSgdConfig::new(Loss::Logistic, 8).workers(4).epochs(8);
     let clean = config.train(&p.data).unwrap();
-    let report = config
-        .train_with_faults(&p.data, &FaultPlan::new(13).drop_writes(0.25))
-        .unwrap();
+    assert_eq!(clean.dropped_messages(), 0);
+    let faulty = config.faults(FaultPlan::new(13).drop_writes(0.25));
+    let report = faulty.train(&p.data).unwrap();
     assert!(report.dropped_messages() > 0);
-    assert_eq!(report.epoch_losses().len(), clean.len());
+    assert_eq!(report.epoch_losses().len(), clean.epoch_losses().len());
     assert!(
-        report.final_loss() < clean.last().unwrap() + 0.15,
+        report.final_loss() < clean.final_loss() + 0.15,
         "faulty {} vs clean {}",
         report.final_loss(),
-        clean.last().unwrap()
+        clean.final_loss()
     );
     // Same plan, same seed: the sync engine is deterministic too.
-    let again = config
-        .train_with_faults(&p.data, &FaultPlan::new(13).drop_writes(0.25))
-        .unwrap();
-    assert_eq!(report, again);
+    assert_eq!(report, faulty.train(&p.data).unwrap());
 }
 
 #[test]
@@ -171,7 +169,7 @@ fn sync_observer_can_stop_early() {
     let p = generate::logistic_dense(16, 100, 43);
     let seen = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&seen);
-    let losses = SyncSgdConfig::new(Loss::Logistic, 32)
+    let report = SyncSgdConfig::new(Loss::Logistic, 32)
         .epochs(10)
         .on_epoch(move |progress: &TrainProgress| {
             counter.fetch_add(1, Ordering::SeqCst);
@@ -183,7 +181,11 @@ fn sync_observer_can_stop_early() {
         })
         .train(&p.data)
         .unwrap();
-    assert_eq!(losses.len(), 3, "stopped after epoch index 2");
+    assert_eq!(
+        report.epoch_losses().len(),
+        3,
+        "stopped after epoch index 2"
+    );
     assert_eq!(seen.load(Ordering::SeqCst), 3);
 }
 
@@ -192,16 +194,63 @@ fn invalid_plans_are_rejected_by_every_engine() {
     let p = generate::logistic_dense(8, 40, 47);
     let bad = FaultPlan::new(0).drop_writes(1.5);
     assert!(matches!(
-        SgdConfig::new(Loss::Logistic).train_with_faults(&p.data, &bad),
+        SgdConfig::new(Loss::Logistic)
+            .faults(bad.clone())
+            .train(&p.data),
         Err(TrainError::Plan(PlanError::InvalidRate(_)))
     ));
     assert!(matches!(
-        SyncSgdConfig::new(Loss::Logistic, 8).train_with_faults(&p.data, &bad),
+        SyncSgdConfig::new(Loss::Logistic, 8)
+            .faults(bad.clone())
+            .train(&p.data),
         Err(TrainError::Plan(PlanError::InvalidRate(_)))
     ));
     assert!(ChaosSgdConfig::new(Loss::Logistic, bad)
         .train(&p.data)
         .is_err());
+}
+
+#[test]
+fn sync_engine_rejects_step_decays_the_other_engines_reject() {
+    let p = generate::logistic_dense(8, 40, 47);
+    for decay in [f32::NAN, f32::INFINITY, 0.0, -1.0] {
+        let result = SyncSgdConfig::new(Loss::Logistic, 8)
+            .epochs(3)
+            .step_decay(decay)
+            .train(&p.data);
+        assert!(
+            matches!(
+                result,
+                Err(TrainError::Config(ConfigError::InvalidParameter(_)))
+            ),
+            "step_decay {decay}: {result:?}"
+        );
+        assert!(SgdConfig::new(Loss::Logistic)
+            .step_decay(decay)
+            .validate()
+            .is_err());
+    }
+}
+
+#[test]
+fn threaded_faults_and_a_tracer_combine() {
+    let p = generate::logistic_dense(48, 500, 31);
+    let tracer = RingTracer::with_capacity(1 << 16);
+    let report = SgdConfig::new(Loss::Logistic)
+        .threads(2)
+        .epochs(6)
+        .faults(FaultPlan::new(31).crash(0, 2, 50))
+        .train_traced(&p.data, &buckwild_telemetry::NoopRecorder, &tracer)
+        .unwrap();
+    assert_eq!(report.epoch_losses().len(), 6);
+    let trace = tracer.drain();
+    assert!(
+        trace
+            .events()
+            .iter()
+            .any(|e| e.phase == Phase::ChaosFault && e.arg == buckwild::fault_kind::RECOVERY),
+        "the crash's rollback must appear as a recovery span"
+    );
 }
 
 #[test]
@@ -216,7 +265,6 @@ fn prelude_exposes_the_full_training_surface() {
     let _: Option<ChaosReport> = None;
     let _: Option<SyncFaultReport> = None;
     let _: Option<TrainReport> = None;
-    let _: Option<NoopInjector> = None;
     let _: Option<CrashSpec> = None;
     let _ = (IterFate::Proceed, WriteFate::Apply);
     let _ = TrainControl::Continue;

@@ -139,9 +139,15 @@ fn config(loss: Loss, sig: &str, backend: Backend) -> SgdConfig {
 fn train(layout: Layout, config: &SgdConfig, plan: Option<&FaultPlan>) -> TrainReport {
     match (layout, plan) {
         (Layout::Dense, None) => config.train(&dense_data(config.loss)),
-        (Layout::Dense, Some(p)) => config.train_with_faults(&dense_data(config.loss), p),
+        (Layout::Dense, Some(p)) => config
+            .clone()
+            .faults(p.clone())
+            .train(&dense_data(config.loss)),
         (Layout::Sparse, None) => config.train(&sparse_data(config.loss)),
-        (Layout::Sparse, Some(p)) => config.train_with_faults(&sparse_data(config.loss), p),
+        (Layout::Sparse, Some(p)) => config
+            .clone()
+            .faults(p.clone())
+            .train(&sparse_data(config.loss)),
     }
     .unwrap()
 }
