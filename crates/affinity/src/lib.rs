@@ -88,26 +88,6 @@ pub fn simd_width_bits() -> u32 {
     buckwild_kernels::isa::detected().simd_width_bits()
 }
 
-/// Lowercase name of the widest kernel ISA tier this CPU can execute
-/// (`"scalar"` or `"avx2"`) — recorded in the `hardware` block of the
-/// `BENCH_*.json` baselines.
-#[must_use]
-pub fn detected_isa() -> &'static str {
-    buckwild_kernels::isa::detected().name()
-}
-
-/// A one-line human-readable summary of the detected hardware, e.g.
-/// `"8 cores, 64 B lines, 256-bit SIMD"`.
-#[must_use]
-pub fn summary() -> String {
-    format!(
-        "{} cores, {} B lines, {}-bit SIMD",
-        core_count(),
-        cache_line_bytes(),
-        simd_width_bits()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,8 +116,5 @@ mod tests {
         assert!(line.is_power_of_two() && (16..=1024).contains(&line));
         let simd = simd_width_bits();
         assert!([128, 256].contains(&simd));
-        assert!(["scalar", "avx2"].contains(&detected_isa()));
-        let text = summary();
-        assert!(text.contains("cores") && text.contains("SIMD"));
     }
 }

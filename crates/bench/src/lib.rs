@@ -23,7 +23,6 @@ use buckwild::Loss;
 use buckwild_dmgc::Signature;
 use buckwild_fixed::FixedSpec;
 use buckwild_kernels::cost::QuantizerKind;
-use buckwild_kernels::weave::{self, WeavedMatrix};
 use buckwild_kernels::{generic, optimized, sparse, AxpyRand, KernelFlavor};
 use buckwild_prng::{Prng, Xorshift128, XorshiftLanes};
 
@@ -186,15 +185,6 @@ where
     let w_spec = FixedSpec::model_range(M::BITS);
     let examples = dense_example_count(n, STREAM_ELEMS);
     let x_all: Vec<D> = synth_fixed(n * examples, 1);
-    // BitSerial streams the weaved layout instead; the one-time encode
-    // happens here, outside the timed region (the layout's whole point).
-    let weaved = (flavor == KernelFlavor::BitSerial).then(|| {
-        let mut m = WeavedMatrix::new(examples, n, &x_spec);
-        for e in 0..examples {
-            m.set_row(e, &x_all[e * n..(e + 1) * n]);
-        }
-        m
-    });
     let mut w: Vec<M> = synth_fixed(n, 2);
     let mut lanes = XorshiftLanes::<8>::seed_from(3);
     let mut scalar_rng = Xorshift128::seed_from(4);
@@ -268,87 +258,7 @@ where
                     }
                 }
             }
-            KernelFlavor::BitSerial => {
-                let xw = weaved.as_ref().expect("weaved outside the loop").row(e);
-                let dot = weave::dot_fixed(xw, &w, D::BITS, &w_spec);
-                let a = axpy_scale(dot, y);
-                match quantizer {
-                    QuantizerKind::Biased => {
-                        weave::axpy_fixed(&mut w, a, xw, D::BITS, &w_spec, AxpyRand::Biased);
-                    }
-                    QuantizerKind::MersenneScalar => {
-                        let mut f = || mt.next_f32();
-                        weave::axpy_fixed(
-                            &mut w,
-                            a,
-                            xw,
-                            D::BITS,
-                            &w_spec,
-                            AxpyRand::Scalar(&mut f),
-                        );
-                    }
-                    QuantizerKind::XorshiftFresh => {
-                        weave::axpy_fixed(
-                            &mut w,
-                            a,
-                            xw,
-                            D::BITS,
-                            &w_spec,
-                            AxpyRand::FreshLanes(&mut lanes),
-                        );
-                    }
-                    QuantizerKind::XorshiftShared => {
-                        let block = lanes.step();
-                        weave::axpy_fixed(
-                            &mut w,
-                            a,
-                            xw,
-                            D::BITS,
-                            &w_spec,
-                            AxpyRand::Shared(&block),
-                        );
-                    }
-                }
-            }
         }
-    })
-}
-
-/// Measures truncated weaved serving: the dataset is woven once at
-/// `master_bits` and every iteration reads only the top `served_bits`
-/// planes (dot + AXPY) — the any-precision serving mode the MLWeaving
-/// layout exists for. No re-encode ever happens inside the timed region.
-///
-/// # Panics
-///
-/// Panics if `served_bits` is 0 or exceeds `master_bits`, or if
-/// `master_bits` is not 8 or 16.
-#[must_use]
-pub fn measure_weaved_truncated(n: usize, master_bits: u32, served_bits: u32, seconds: f64) -> f64 {
-    assert!(
-        master_bits == 8 || master_bits == 16,
-        "master precision must be 8 or 16"
-    );
-    assert!(
-        served_bits >= 1 && served_bits <= master_bits,
-        "served precision out of range"
-    );
-    let x_spec = FixedSpec::unit_range(master_bits);
-    let w_spec = FixedSpec::model_range(16);
-    let examples = dense_example_count(n, STREAM_ELEMS);
-    let x_all: Vec<i16> = synth_fixed(n * examples, 1);
-    let mut matrix = WeavedMatrix::new(examples, n, &x_spec);
-    for e in 0..examples {
-        matrix.set_row(e, &x_all[e * n..(e + 1) * n]);
-    }
-    let mut w: Vec<i16> = synth_fixed(n, 2);
-    time_gnps(n, seconds, move |i| {
-        let e = (i as usize) % examples;
-        let x = matrix.row(e);
-        let y = if i % 2 == 0 { 1.0 } else { -1.0 };
-        let dot = weave::dot_fixed(x, &w, served_bits, &w_spec);
-        let a = axpy_scale(dot, y);
-        weave::axpy_fixed(&mut w, a, x, served_bits, &w_spec, AxpyRand::Biased);
     })
 }
 
@@ -523,35 +433,6 @@ where
                     || scalar_rng.next_f32(),
                 );
             }
-            KernelFlavor::BitSerial => {
-                // Gathered bit-serial dot; the scatter AXPY is shared with
-                // the optimized flavour (no weaved model storage).
-                let dot = weave::dot_sparse_fixed(values, indices, &w, &x_spec, &w_spec);
-                let a = axpy_scale(dot, y);
-                match quantizer {
-                    QuantizerKind::Biased => sparse::axpy_fixed_fixed(
-                        &mut w,
-                        a,
-                        values,
-                        indices,
-                        &x_spec,
-                        &w_spec,
-                        AxpyRand::Biased,
-                    ),
-                    _ => {
-                        let block = lanes.step();
-                        sparse::axpy_fixed_fixed(
-                            &mut w,
-                            a,
-                            values,
-                            indices,
-                            &x_spec,
-                            &w_spec,
-                            AxpyRand::Shared(&block),
-                        );
-                    }
-                }
-            }
             _ => {
                 let dot = sparse::dot_fixed_fixed(values, indices, &w, &x_spec, &w_spec);
                 let a = axpy_scale(dot, y);
@@ -637,41 +518,6 @@ mod tests {
             );
             assert!(gnps > 0.0, "{s}: {gnps}");
         }
-    }
-
-    #[test]
-    fn bitserial_measurements_produce_positive_gnps() {
-        for s in ["D8M8", "D16M16", "D8M16", "D16i16M16"] {
-            let gnps = if s.contains('i') {
-                measure_sparse_t1(
-                    &sig(s),
-                    KernelFlavor::BitSerial,
-                    QuantizerKind::XorshiftShared,
-                    1 << 12,
-                    123,
-                    0.02,
-                )
-            } else {
-                measure_dense_t1(
-                    &sig(s),
-                    KernelFlavor::BitSerial,
-                    QuantizerKind::XorshiftShared,
-                    1 << 10,
-                    0.02,
-                )
-            };
-            assert!(gnps > 0.0, "{s}: {gnps}");
-        }
-    }
-
-    #[test]
-    fn truncated_weaved_serving_measures_and_speeds_up() {
-        let full = measure_weaved_truncated(1 << 10, 16, 16, 0.02);
-        let served4 = measure_weaved_truncated(1 << 10, 16, 4, 0.02);
-        assert!(full > 0.0 && served4 > 0.0);
-        // Reading a quarter of the planes must not be slower than reading
-        // all of them (generous slack: CI machines are noisy).
-        assert!(served4 > full * 0.8, "served4 {served4} vs full {full}");
     }
 
     #[test]

@@ -176,10 +176,6 @@ pub fn iteration_mix(
 /// (128-bit for the autovectorized scalar fallback, 256 for AVX2).
 /// `KernelIsa::Avx2` is exactly [`iteration_mix`] — the model was
 /// calibrated against the paper's AVX2 sequences.
-///
-/// The bit-serial flavour's plane-pair AND/POPCNT work runs on 64-bit
-/// words at every tier, so only its model-side load fractions scale —
-/// matching the implementation, where `popcnt` is the whole fast path.
 #[must_use]
 pub fn iteration_mix_isa(
     signature: &Signature,
@@ -219,9 +215,7 @@ fn mix_with_width(
             let axpy = 2.0 + d_conv + m_conv + 1.0 + if m_float { 1.0 } else { 4.0 };
             (dot + axpy, epb)
         }
-        KernelFlavor::Optimized | KernelFlavor::Proposed | KernelFlavor::BitSerial
-            if d_float && !m_float =>
-        {
+        KernelFlavor::Optimized | KernelFlavor::Proposed if d_float && !m_float => {
             // Float data with a fixed-point model defeats vectorization:
             // every AXPY write needs a rounded, saturating f32→int
             // conversion, which x86 only offers as a scalar sequence. The
@@ -230,23 +224,7 @@ fn mix_with_width(
             // essentially scalar instruction stream.
             (19.0, 1.0)
         }
-        KernelFlavor::BitSerial if !d_float && !m_float => {
-            // Plane-serial popcount accumulation over 64-element blocks:
-            // per plane pair one AND + one POPCNT (+ the coefficient
-            // multiply-add folded in), so ALU work grows with the
-            // *product* of the served precisions while the data stream
-            // shrinks linearly with the data precision. That product term
-            // is why bit-serial loses to the integer-MAC kernels once
-            // both operands are wide, and why it wins when either the
-            // precision is tiny or the stream is the bottleneck.
-            let epb = 64.0;
-            let m_frac = 64.0 * m_bits as f64 / width_bits;
-            let pairs = 2.0 * (d_bits as f64 * m_bits as f64);
-            let dot = d_bits as f64 + m_bits as f64 + pairs; // plane loads + AND/POPCNT pairs
-            let axpy = 2.0 * d_bits as f64 + 2.0 * m_frac + 2.0; // decode planes, load/store w
-            (dot + axpy, epb)
-        }
-        KernelFlavor::Optimized | KernelFlavor::Proposed | KernelFlavor::BitSerial => {
+        KernelFlavor::Optimized | KernelFlavor::Proposed => {
             let epb = elements_per_block(d_bits, m_bits, width_bits);
             // Fractional loads: a narrower operand fills only part of a
             // register-wide load per block of `epb` elements.
@@ -293,44 +271,6 @@ pub fn estimate_gnps_isa(
     isa: KernelIsa,
 ) -> f64 {
     CostParams::xeon().estimate_gnps(&iteration_mix_isa(signature, flavor, quantizer, isa))
-}
-
-/// [`InstructionMix`] for a bit-serial iteration that *serves* only the
-/// top `served_bits` planes of each weaved operand, whose stored
-/// precisions are the signature's dataset/model widths.
-///
-/// This is the zero-re-encode read path of the MLWeaving layout
-/// (`weave::dot` with both truncations set to `served_bits`): the
-/// streamed bytes and the plane-pair ALU work both scale with the
-/// *served* precision, not the stored one — the whole point of the
-/// layout. At `served_bits == dataset_bits == model_bits` this is
-/// identical to [`iteration_mix`] with [`KernelFlavor::BitSerial`].
-///
-/// # Panics
-///
-/// Panics if the signature is not a fixed/fixed pair or `served_bits` is
-/// outside `1..=min(dataset_bits, model_bits)`.
-#[must_use]
-pub fn bitserial_truncated_mix(
-    signature: &Signature,
-    served_bits: u32,
-    quantizer: QuantizerKind,
-) -> InstructionMix {
-    assert!(
-        !signature.dataset().is_float() && !signature.model().is_float(),
-        "bit-serial truncation needs a fixed/fixed signature"
-    );
-    let stored = signature.dataset_bits().min(signature.model_bits());
-    assert!(
-        served_bits >= 1 && served_bits <= stored,
-        "cannot serve {served_bits} bits from a {stored}-bit weave"
-    );
-    let truncated = Signature::dense_fixed(served_bits, served_bits);
-    let mut mix = iteration_mix(&truncated, KernelFlavor::BitSerial, quantizer);
-    // Only the top planes are touched: the data stream narrows to
-    // served_bits/8 bytes per element regardless of the stored width.
-    mix.dataset_bytes = served_bits as f64 / 8.0;
-    mix
 }
 
 #[cfg(test)]
@@ -485,82 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn bitserial_is_memory_bound_at_tiny_precisions_only() {
-        // The classification the roofline surfaces: at D1/D2 the plane
-        // stream is so narrow that memory+overhead dominates the popcount
-        // work; by D4M4 the plane-pair product term has taken over.
-        let params = CostParams::xeon();
-        for (s, memory_bound) in [
-            ("D1M1", true),
-            ("D2M2", true),
-            ("D4M4", false),
-            ("D8M8", false),
-        ] {
-            let mix = iteration_mix(&sig(s), KernelFlavor::BitSerial, QuantizerKind::Biased);
-            let compute = mix.total_instrs() / params.issue_per_cycle;
-            let memory = mix.dataset_bytes / params.bytes_per_cycle
-                + params.overhead_per_32b * mix.dataset_bytes / 32.0;
-            assert_eq!(memory > compute, memory_bound, "{s}");
-        }
-    }
-
-    #[test]
-    fn bitserial_loses_to_optimized_at_high_precision() {
-        // The product term in the plane-pair count makes wide fixed/fixed
-        // pairs compute-bound — exactly where the integer-MAC kernels win.
-        for s in ["D8M8", "D16M16"] {
-            let bs = estimate_gnps(&sig(s), KernelFlavor::BitSerial, QuantizerKind::Biased);
-            let opt = estimate_gnps(&sig(s), KernelFlavor::Optimized, QuantizerKind::Biased);
-            assert!(bs < opt, "{s}: bitserial {bs} vs optimized {opt}");
-        }
-    }
-
-    #[test]
-    fn truncated_serving_wins_where_reencode_would_be_needed() {
-        let params = CostParams::xeon();
-        // Serving 4 planes of a 16-bit master encoding beats running the
-        // optimized kernels over the full-width D16M16 layout — without
-        // ever re-encoding the dataset.
-        let served4 = params.estimate_gnps(&bitserial_truncated_mix(
-            &sig("D16M16"),
-            4,
-            QuantizerKind::Biased,
-        ));
-        let opt16 = estimate_gnps(
-            &sig("D16M16"),
-            KernelFlavor::Optimized,
-            QuantizerKind::Biased,
-        );
-        assert!(served4 > opt16, "served4 {served4} vs opt16 {opt16}");
-        // Serving every stored plane is exactly the full bit-serial mix.
-        let full = bitserial_truncated_mix(&sig("D16M16"), 16, QuantizerKind::Biased);
-        let direct = iteration_mix(
-            &sig("D16M16"),
-            KernelFlavor::BitSerial,
-            QuantizerKind::Biased,
-        );
-        assert_eq!(full, direct);
-        // And narrower serving is monotonically cheaper.
-        let served8 = params.estimate_gnps(&bitserial_truncated_mix(
-            &sig("D16M16"),
-            8,
-            QuantizerKind::Biased,
-        ));
-        assert!(served4 > served8, "served4 {served4} vs served8 {served8}");
-    }
-
-    #[test]
-    fn bitserial_float_signatures_cost_like_optimized() {
-        // Dispatch falls back to the integer/float MAC kernels for float
-        // operands, and the cost model agrees.
-        for s in ["D32fM32f", "D32fM8", "D8M32f"] {
-            let bs = iteration_mix(&sig(s), KernelFlavor::BitSerial, QuantizerKind::Biased);
-            let opt = iteration_mix(&sig(s), KernelFlavor::Optimized, QuantizerKind::Biased);
-            assert_eq!(bs, opt, "{s}");
-        }
-    }
-
-    #[test]
     fn avx2_isa_mix_is_the_calibrated_mix() {
         for s in ["D8M8", "D16M16", "D32fM32f", "D8i16M8"] {
             for flavor in [KernelFlavor::Optimized, KernelFlavor::Generic] {
@@ -593,26 +457,6 @@ mod tests {
             );
             assert!(scalar < avx2, "{s}: {scalar} {avx2}");
         }
-    }
-
-    #[test]
-    fn bitserial_plane_work_does_not_scale_with_isa() {
-        // The popcnt loop runs on 64-bit words at every tier; only the
-        // model-side load fractions narrow, so the per-ISA spread must be
-        // far smaller than the dense kernels'.
-        let bs_scalar = estimate_gnps_isa(
-            &sig("D8M8"),
-            KernelFlavor::BitSerial,
-            QuantizerKind::Biased,
-            KernelIsa::Scalar,
-        );
-        let bs_avx2 = estimate_gnps_isa(
-            &sig("D8M8"),
-            KernelFlavor::BitSerial,
-            QuantizerKind::Biased,
-            KernelIsa::Avx2,
-        );
-        assert!(bs_avx2 / bs_scalar < 1.5, "spread {}", bs_avx2 / bs_scalar);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! The paper's kernel comparison (Figure 4, §5.1, §6.1) is a kernel-level
 //! experiment, and this module is where it is written down once: given a
 //! flavour, [`dot_fixed_fixed`] and [`dot_sparse_fixed`] run the matching
-//! fixed-point dot from [`generic`] / [`optimized`] / [`sparse`] /
-//! [`weave`], so a comparison harness sweeps [`KernelFlavor::ALL`] without
-//! matching on it. Nothing else routes through here: the training engine
-//! and the `Predictor` call the `optimized` / `sparse` kernels directly —
-//! those free functions are the crate's API.
+//! fixed-point dot from [`generic`] / [`optimized`] / [`sparse`], so a
+//! comparison harness sweeps [`KernelFlavor::ALL`] without matching on
+//! it. Nothing else routes through here: the training engine and the
+//! `Predictor` call the `optimized` / `sparse` kernels directly — those
+//! free functions are the crate's API.
 //!
 //! Routing rules:
 //!
@@ -16,20 +16,14 @@
 //!   [`generic`] / [`sparse`].
 //! * [`KernelFlavor::Optimized`] and [`KernelFlavor::Proposed`] → the
 //!   integer-MAC paths (`Proposed` differs only in the cost model).
-//! * [`KernelFlavor::BitSerial`] → the plane-serial kernels in [`weave`]
-//!   when the data precision fits `1..=16`, else the integer-MAC path.
 
 use buckwild_dataset::IndexElement;
 use buckwild_fixed::FixedSpec;
 
 use crate::optimized::FixedInt;
-use crate::{generic, optimized, sparse, weave, KernelFlavor};
+use crate::{generic, optimized, sparse, KernelFlavor};
 
 /// Dense dot, fixed data × fixed model — the paper's flagship path.
-///
-/// `BitSerial` runs the transient plane-serial kernel when the data
-/// precision is weavable (`1..=16` bits), else falls back to the
-/// integer-MAC path.
 #[must_use]
 pub fn dot_fixed_fixed<D: FixedInt, M: FixedInt>(
     flavor: KernelFlavor,
@@ -42,13 +36,6 @@ pub fn dot_fixed_fixed<D: FixedInt, M: FixedInt>(
         KernelFlavor::Generic => generic::dot(x, w, x_spec, w_spec),
         KernelFlavor::Optimized | KernelFlavor::Proposed => {
             optimized::dot_fixed_fixed(x, w, x_spec, w_spec)
-        }
-        KernelFlavor::BitSerial => {
-            if x_spec.bits() <= weave::MAX_BITS {
-                weave::dot_bitserial(x, w, x_spec, w_spec)
-            } else {
-                optimized::dot_fixed_fixed(x, w, x_spec, w_spec)
-            }
         }
     }
 }
@@ -67,13 +54,6 @@ pub fn dot_sparse_fixed<D: FixedInt, I: IndexElement, M: FixedInt>(
         KernelFlavor::Generic => sparse::dot_generic(values, indices, w, x_spec, w_spec),
         KernelFlavor::Optimized | KernelFlavor::Proposed => {
             sparse::dot_fixed_fixed(values, indices, w, x_spec, w_spec)
-        }
-        KernelFlavor::BitSerial => {
-            if x_spec.bits() <= weave::MAX_BITS {
-                weave::dot_sparse_fixed(values, indices, w, x_spec, w_spec)
-            } else {
-                sparse::dot_fixed_fixed(values, indices, w, x_spec, w_spec)
-            }
         }
     }
 }

@@ -18,10 +18,6 @@ pub enum KernelFlavor {
     /// `Optimized`; only the cost model differs — mirroring the paper's
     /// proxy-instruction methodology.
     Proposed,
-    /// Bit-serial kernels over the MLWeaving bit-plane layout
-    /// (`kernels::weave`): plane-by-plane popcount accumulation, any
-    /// precision 1..=16 served from one encoding at zero re-encode cost.
-    BitSerial,
 }
 
 impl KernelFlavor {
@@ -31,11 +27,10 @@ impl KernelFlavor {
     /// match plus the `all_is_exhaustive` round-trip test — adding a
     /// flavour without extending this array is a test failure, not a
     /// silently missing sweep axis.
-    pub const ALL: [KernelFlavor; 4] = [
+    pub const ALL: [KernelFlavor; 3] = [
         KernelFlavor::Generic,
         KernelFlavor::Optimized,
         KernelFlavor::Proposed,
-        KernelFlavor::BitSerial,
     ];
 
     /// Canonical lower-case name (what [`Display`](fmt::Display) prints
@@ -49,7 +44,6 @@ impl KernelFlavor {
             KernelFlavor::Generic => "generic",
             KernelFlavor::Optimized => "optimized",
             KernelFlavor::Proposed => "proposed",
-            KernelFlavor::BitSerial => "bitserial",
         }
     }
 }
@@ -80,7 +74,6 @@ impl FromStr for KernelFlavor {
             "generic" | "gcc" => Ok(KernelFlavor::Generic),
             "optimized" | "simd" => Ok(KernelFlavor::Optimized),
             "proposed" | "newinstr" => Ok(KernelFlavor::Proposed),
-            "bitserial" | "bit-serial" | "weave" | "mlweaving" => Ok(KernelFlavor::BitSerial),
             _ => Err(ParseKernelFlavorError(s.to_owned())),
         }
     }
@@ -100,7 +93,10 @@ mod tests {
         for flavor in KernelFlavor::ALL {
             assert_eq!(flavor.to_string().parse::<KernelFlavor>().unwrap(), flavor);
         }
-        assert!("mystery".parse::<KernelFlavor>().is_err());
+        // Names of a deleted flavour must not quietly resolve to another.
+        for unknown in ["mystery", "bitserial", "bit-serial", "weave", "mlweaving"] {
+            assert!(unknown.parse::<KernelFlavor>().is_err(), "{unknown}");
+        }
     }
 
     #[test]
@@ -109,23 +105,11 @@ mod tests {
         // appear in ALL exactly once, and names must be unique — the
         // guard that keeps sweeps from silently skipping a flavour.
         let names: Vec<&str> = KernelFlavor::ALL.iter().map(|f| f.name()).collect();
-        assert_eq!(names.len(), 4);
+        assert_eq!(names.len(), 3);
         for (i, a) in names.iter().enumerate() {
             for b in &names[i + 1..] {
                 assert_ne!(a, b, "duplicate flavour name");
             }
-        }
-        assert!(names.contains(&"bitserial"));
-    }
-
-    #[test]
-    fn bitserial_aliases_parse() {
-        for alias in ["bitserial", "bit-serial", "weave", "mlweaving", "BitSerial"] {
-            assert_eq!(
-                alias.parse::<KernelFlavor>().unwrap(),
-                KernelFlavor::BitSerial,
-                "{alias}"
-            );
         }
     }
 }

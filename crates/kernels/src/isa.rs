@@ -27,7 +27,7 @@ pub enum KernelIsa {
     /// Safe chunked-accumulator Rust (the bit-identity reference).
     Scalar,
     /// 256-bit `std::arch` paths (`vpmaddwd`-style integer MACs, 8-lane
-    /// float dot/AXPY, `popcnt` plane reduction).
+    /// float dot/AXPY).
     Avx2,
 }
 
@@ -36,7 +36,7 @@ impl KernelIsa {
     pub const ALL: [KernelIsa; 2] = [KernelIsa::Scalar, KernelIsa::Avx2];
 
     /// Lowercase name, as accepted by `BUCKWILD_ISA` / `--isa` and
-    /// recorded in the `hardware` block of the `BENCH_*.json` baselines.
+    /// printed in the `--roofline` header and the watchdog bundle.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -108,21 +108,6 @@ pub fn detected() -> KernelIsa {
     #[cfg(not(target_arch = "x86_64"))]
     {
         KernelIsa::Scalar
-    }
-}
-
-/// Whether the hardware `popcnt` instruction is available (used by the
-/// bit-serial plane-reduction fast path; probed independently of the
-/// vector tiers because it predates AVX2).
-#[must_use]
-pub fn popcnt_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("popcnt")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
     }
 }
 

@@ -21,14 +21,9 @@
 //!   XORSHIFT, optionally shared across the AXPY (paper §5.2).
 //! * [`sparse`] — gather/scatter variants of both flavours for CSR data.
 //! * [`nibble`] — packed 4-bit kernels for the hypothetical D4M4 ISA.
-//! * [`weave`] — the *bit-serial* path: an MLWeaving-style bit-plane
-//!   layout where one encoding serves every precision 1..=16 by reading
-//!   only the top planes — plane-by-plane popcount accumulation, zero
-//!   re-encode cost per precision.
 //! * [`cost`] — an instruction-count cost model covering current AVX2, the
-//!   paper's two proposed ALU instructions (§6.1), 4-bit arithmetic, and
-//!   the bit-serial kernels, used to reproduce the proxy-instruction
-//!   experiments and classify where bit-serial wins.
+//!   paper's two proposed ALU instructions (§6.1) and 4-bit arithmetic,
+//!   used to reproduce the proxy-instruction experiments.
 //!
 //! The free functions of those modules are the API: the training engine
 //! and the `Predictor` call `optimized::*` / `sparse::*` directly.
@@ -49,9 +44,7 @@
 //!
 //! let fast = dispatch::dot_fixed_fixed(KernelFlavor::Optimized, &x, &w, &xs, &ws);
 //! let slow = dispatch::dot_fixed_fixed(KernelFlavor::Generic, &x, &w, &xs, &ws);
-//! let bits = dispatch::dot_fixed_fixed(KernelFlavor::BitSerial, &x, &w, &xs, &ws);
 //! assert!((fast - slow).abs() < 1e-4);
-//! assert!((fast - bits).abs() < 1e-4);
 //! ```
 
 // `unsafe` is denied crate-wide and allowed back in exactly one module:
@@ -68,7 +61,6 @@ pub mod isa;
 pub mod nibble;
 pub mod optimized;
 pub mod sparse;
-pub mod weave;
 
 mod flavor;
 mod rand_source;

@@ -1,10 +1,10 @@
 //! Explicit `std::arch` x86-64 kernels behind the [`crate::isa`] probe.
 //!
 //! Every function here is a *drop-in accelerator* for one scalar loop in
-//! [`crate::optimized`], [`crate::weave`], or [`crate::delta`]: the safe
-//! wrappers return `None`/`false` when the active [`KernelIsa`] tier (or
-//! the target architecture) cannot run the vector path, and the caller
-//! falls back to its chunked-accumulator scalar code. The contract that
+//! [`crate::optimized`] or [`crate::delta`]: the safe wrappers return
+//! `None`/`false` when the active [`KernelIsa`] tier (or the target
+//! architecture) cannot run the vector path, and the caller falls back
+//! to its chunked-accumulator scalar code. The contract that
 //! makes this transparent is **bit identity**:
 //!
 //! * integer kernels compute the exact same `i64`/`i32` values — integer
@@ -319,47 +319,6 @@ pub(crate) fn axpy_i8_f32(acc: &mut [f32], q: &[i8], scale: f32) -> bool {
     }
 }
 
-/// Hardware-`popcnt` plane-pair reduction for the weaved×weaved dot:
-/// the full cross-plane accumulation over `blocks` 64-element blocks,
-/// identical integer arithmetic to `weave::dot`'s scalar loop.
-///
-/// `x_planes`/`w_planes` are block-major plane words with strides
-/// `x_stored`/`w_stored`; only the top `x_bits`/`w_bits` planes of each
-/// block are read (the truncated-serving contract).
-#[inline]
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn weave_dot_planes(
-    x_planes: &[u64],
-    w_planes: &[u64],
-    blocks: usize,
-    x_stored: u32,
-    w_stored: u32,
-    x_bits: u32,
-    w_bits: u32,
-) -> Option<i64> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        vector_tier()?;
-        if !isa::popcnt_detected() {
-            return None;
-        }
-        // SAFETY: `popcnt` availability just confirmed.
-        Some(unsafe {
-            x86::weave_dot_planes_popcnt(
-                x_planes, w_planes, blocks, x_stored, w_stored, x_bits, w_bits,
-            )
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (
-            x_planes, w_planes, blocks, x_stored, w_stored, x_bits, w_bits,
-        );
-        None
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The `#[target_feature]` implementations. Callers guarantee the
@@ -367,8 +326,6 @@ mod x86 {
     //! and stores stay inside the caller's slices.
 
     use core::arch::x86_64::*;
-
-    use crate::weave::plane_coeff;
 
     /// Horizontal i64 sum of 8 packed i32 lanes.
     #[target_feature(enable = "avx2")]
@@ -749,42 +706,6 @@ mod x86 {
             i += 1;
         }
     }
-
-    /// The weave cross-plane reduction with hardware `popcnt`: same
-    /// loop shape and integer arithmetic as `weave::dot`, so the total
-    /// is identical — only `count_ones` compiles to `popcntq` here.
-    #[target_feature(enable = "popcnt")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn weave_dot_planes_popcnt(
-        x_planes: &[u64],
-        w_planes: &[u64],
-        blocks: usize,
-        x_stored: u32,
-        w_stored: u32,
-        x_bits: u32,
-        w_bits: u32,
-    ) -> i64 {
-        let xs = x_stored as usize;
-        let ws = w_stored as usize;
-        let mut total = 0i64;
-        for block in 0..blocks {
-            let xw = &x_planes[block * xs..block * xs + x_bits as usize];
-            let ww = &w_planes[block * ws..block * ws + w_bits as usize];
-            for (p, &xp) in xw.iter().enumerate() {
-                if xp == 0 {
-                    continue;
-                }
-                let cx = plane_coeff(x_stored, p as u32);
-                for (q, &wq) in ww.iter().enumerate() {
-                    let hits = i64::from((xp & wq).count_ones());
-                    if hits != 0 {
-                        total += cx * plane_coeff(w_stored, q as u32) * hits;
-                    }
-                }
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -850,6 +771,5 @@ mod tests {
         assert_eq!(dot_i8_i8(&[1], &[1]), None);
         assert_eq!(dot_f32_f32(&[1.0], &[1.0]), None);
         assert!(!axpy_f32_f32(&mut [1.0], 1.0, &[1.0]));
-        assert_eq!(weave_dot_planes(&[], &[], 0, 8, 8, 8, 8), None);
     }
 }

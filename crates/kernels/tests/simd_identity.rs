@@ -6,7 +6,7 @@
 //! sequential lane sum and tail). These tests pin the kernel ISA to
 //! `scalar` and to the machine's detected tier via `isa::scoped` and
 //! compare outputs bit for bit (`f32::to_bits`) over every length in
-//! `0..=192` — three 64-element bit-serial blocks, covering empty inputs,
+//! `0..=192` — three 64-element blocks, covering empty inputs,
 //! sub-block tails, and every SIMD remainder shape for 8/16/32-wide
 //! steps.
 //!
@@ -17,11 +17,11 @@
 use std::sync::{Mutex, OnceLock};
 
 use buckwild_fixed::FixedSpec;
-use buckwild_kernels::{delta, isa, optimized, weave, AxpyRand, KernelIsa};
+use buckwild_kernels::{delta, isa, optimized, AxpyRand, KernelIsa};
 use buckwild_prng::{Prng, Xorshift128};
 
 /// Lengths swept by every test: all tail shapes of the 8/16/32-wide SIMD
-/// steps and the 64-wide weave blocks.
+/// steps and three 64-element blocks.
 const MAX_LEN: usize = 192;
 
 /// Serializes the `isa::scoped` sections: the override is process-global,
@@ -191,59 +191,5 @@ fn float_axpy_and_delta_apply_are_bit_identical() {
             [ff, f8, acc].map(|v| v.into_iter().map(f32::to_bits).collect::<Vec<_>>())
         });
         assert_eq!(scalar, vector, "float AXPY/delta diverges at n={n}");
-    }
-}
-
-#[test]
-fn weaved_dots_are_bit_identical_for_every_length_and_truncation() {
-    let mut rng = Xorshift128::seed_from(0x51D4);
-    let s8 = FixedSpec::unit_range(8);
-    let s16 = FixedSpec::unit_range(16);
-    for n in 0..=MAX_LEN {
-        let x8 = random_i8s(&mut rng, n);
-        let w8 = random_i8s(&mut rng, n);
-        let x16 = random_i16s(&mut rng, n);
-        let w16 = random_i16s(&mut rng, n);
-        let wx8 = weave::WeavedVec::encode(&x8, &s8);
-        let ww8 = weave::WeavedVec::encode(&w8, &s8);
-        let wx16 = weave::WeavedVec::encode(&x16, &s16);
-        let ww16 = weave::WeavedVec::encode(&w16, &s16);
-        let (scalar, vector) = under_both(|| {
-            [
-                weave::dot(wx8.view(), ww8.view(), 8, 8),
-                weave::dot(wx16.view(), ww16.view(), 16, 16),
-                // Truncated reads: the any-precision serving path.
-                weave::dot(wx16.view(), ww16.view(), 4, 16),
-                weave::dot(wx16.view(), ww16.view(), 8, 8),
-            ]
-            .map(f32::to_bits)
-        });
-        assert_eq!(scalar, vector, "weaved dots diverge at n={n}");
-    }
-}
-
-/// The sparse bit-serial dot (gather-buffer rewrite) against a direct
-/// widening reference — not an ISA comparison (the kernel is scalar at
-/// every tier) but the exactness proof for the thread-local gather path.
-#[test]
-fn sparse_bitserial_dot_matches_widening_reference() {
-    let mut rng = Xorshift128::seed_from(0x51D5);
-    let s8 = FixedSpec::unit_range(8);
-    let m16 = FixedSpec::model_range(16);
-    let features = 300usize;
-    let w: Vec<i16> = random_i16s(&mut rng, features);
-    for nnz in 0..=MAX_LEN {
-        let values = random_i8s(&mut rng, nnz);
-        let indices: Vec<u16> = (0..nnz)
-            .map(|_| rng.next_below_usize(features) as u16)
-            .collect();
-        let fast = weave::dot_sparse_fixed(&values, &indices, &w, &s8, &m16);
-        let exact: i64 = values
-            .iter()
-            .zip(&indices)
-            .map(|(&v, &i)| i64::from(v) * i64::from(w[i as usize]))
-            .sum();
-        let slow = exact as f32 * s8.quantum() * m16.quantum();
-        assert_eq!(fast.to_bits(), slow.to_bits(), "sparse dot at nnz={nnz}");
     }
 }

@@ -29,7 +29,7 @@ fn fold_scores(hash: u64, scores: &[f32]) -> u64 {
         .fold(hash, |h, s| fnv1a(h, &s.to_bits().to_le_bytes()))
 }
 
-/// One lane, a partial 8-lane block, one full weave block, and a full
+/// One lane, a partial 8-lane block, one full 64-element block, and a full
 /// block plus a ragged tail.
 const FEATURES: [usize; 4] = [1, 7, 64, 70];
 /// Odd on purpose: the batched kernels tile rows in pairs and fours.

@@ -52,7 +52,7 @@ fn report_hash(report: &TrainReport) -> u64 {
     h
 }
 
-/// 70 features: two weave blocks, the second partial, and not a multiple
+/// 70 features: two 64-element blocks, the second partial, and not a multiple
 /// of the 8-lane offset block.
 const DENSE_FEATURES: usize = 70;
 const SPARSE_FEATURES: usize = 200;
