@@ -471,6 +471,7 @@ mod tests {
 
     #[test]
     fn json_stdout_is_one_document_even_with_roofline() {
+        let _serial = crate::isa_pin_lock();
         let (code, out, err) = run_captured(&["table1", "--roofline", "--format", "json"]);
         assert_eq!(code, ExitCode::SUCCESS);
         let doc = ExperimentResult::from_json(&out).expect("stdout is exactly one document");

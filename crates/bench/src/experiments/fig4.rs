@@ -160,6 +160,7 @@ mod tests {
 
     #[test]
     fn isa_series_has_one_positive_rung_per_tier_up_to_the_cap() {
+        let _serial = crate::isa_pin_lock();
         for cap in [KernelIsa::Scalar, isa::detected()] {
             let series = isa_series(cap, 0.005);
             let labels: Vec<&str> = series.rows.iter().map(|r| r.label.as_str()).collect();

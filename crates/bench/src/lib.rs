@@ -498,6 +498,16 @@ fn sparse_f32_driver(signature: &Signature, n: usize, nnz: usize, seconds: f64) 
     })
 }
 
+/// Serializes the tests that pin the process-global `isa::scoped` override
+/// (the roofline's per-ISA ladder, fig4's `isa` series): a pin held by one
+/// test would otherwise change the tier another test observes.
+#[cfg(test)]
+pub(crate) fn isa_pin_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

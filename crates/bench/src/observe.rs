@@ -373,6 +373,7 @@ mod tests {
 
     #[test]
     fn roofline_covers_8_and_32_bit_with_coherence_term() {
+        let _serial = crate::isa_pin_lock();
         let report = roofline_report(DEFAULT_SEED);
         let labels: Vec<_> = report.entries().iter().map(|e| e.label.as_str()).collect();
         assert!(
@@ -443,6 +444,7 @@ mod tests {
 
     #[test]
     fn roofline_embeds_backend_pair() {
+        let _serial = crate::isa_pin_lock();
         let (report, cmp) = roofline_with_backends(DEFAULT_SEED);
         let labels: Vec<_> = report.entries().iter().map(|e| e.label.as_str()).collect();
         assert!(labels.contains(&"D8M8/shared@8c"), "{labels:?}");
@@ -455,6 +457,7 @@ mod tests {
 
     #[test]
     fn roofline_attaches_chaos_distributions() {
+        let _serial = crate::isa_pin_lock();
         let report = roofline_report(DEFAULT_SEED);
         let names: Vec<_> = report
             .distributions()
