@@ -1,8 +1,8 @@
 //! Dense example matrices with quantized storage.
 
 use buckwild_fixed::{FixedSpec, Rounding};
-use buckwild_prng::{Prng, Xorshift128};
 
+use crate::element::reencode;
 use crate::{Element, Label};
 
 /// A dense dataset: `m` examples of `n` features stored row-major, plus
@@ -151,6 +151,11 @@ impl<T: Element> DenseDataset<T> {
     ///
     /// Quantization is deterministic given `seed`; `rounding` selects the
     /// discipline (the paper quantizes datasets once, up front).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spec` is wider than `U`'s storage (a 16-bit spec into
+    /// `i8`, say).
     #[must_use]
     pub fn requantize<U: Element>(
         &self,
@@ -158,17 +163,8 @@ impl<T: Element> DenseDataset<T> {
         rounding: Rounding,
         seed: u64,
     ) -> DenseDataset<U> {
-        let mut rng = Xorshift128::seed_from(seed);
-        let values = self
-            .values
-            .iter()
-            .map(|&v| {
-                let x = v.decode(&self.spec);
-                U::encode(x, &spec, rounding, || rng.next_f32())
-            })
-            .collect();
         DenseDataset {
-            values,
+            values: reencode(&self.values, &self.spec, spec, rounding, seed),
             labels: self.labels.clone(),
             features: self.features,
             spec,
@@ -292,6 +288,13 @@ mod tests {
         let a: DenseDataset<i8> = d.requantize(spec, Rounding::Unbiased, 7);
         let b: DenseDataset<i8> = d.requantize(spec, Rounding::Unbiased, 7);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "spec width 16 exceeds storage width 8")]
+    fn requantize_rejects_spec_wider_than_storage() {
+        let _: DenseDataset<i8> =
+            small().requantize(FixedSpec::unit_range(16), Rounding::Biased, 0);
     }
 
     #[test]

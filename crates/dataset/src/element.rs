@@ -1,6 +1,7 @@
 //! The element trait unifying `f32` and fixed-point storage types.
 
 use buckwild_fixed::{FixedSpec, Rounding};
+use buckwild_prng::{Prng, Xorshift128};
 
 /// A scalar type usable as dataset or model storage.
 ///
@@ -23,7 +24,9 @@ pub trait Element:
     /// Converts a real value into this storage type.
     ///
     /// `uniform` is consulted only when `rounding` is
-    /// [`Rounding::Unbiased`]; fixed-point conversions saturate.
+    /// [`Rounding::Unbiased`]; fixed-point conversions saturate at the
+    /// spec's bounds, so `spec.bits()` must not exceed [`Self::BITS`]
+    /// (a wider spec's saturated value would wrap in the narrowing cast).
     fn encode<F: FnMut() -> f32>(x: f32, spec: &FixedSpec, rounding: Rounding, uniform: F) -> Self;
 
     /// Converts this storage value back to `f32`.
@@ -65,12 +68,6 @@ macro_rules! fixed_element {
                 rounding: Rounding,
                 uniform: F,
             ) -> Self {
-                debug_assert!(
-                    spec.bits() <= $bits,
-                    "spec width {} exceeds storage width {}",
-                    spec.bits(),
-                    $bits
-                );
                 spec.quantize(x, rounding, uniform) as $ty
             }
 
@@ -84,6 +81,48 @@ macro_rules! fixed_element {
 fixed_element!(i8, 8);
 fixed_element!(i16, 16);
 fixed_element!(i32, 32);
+
+/// Re-encodes `values`, stored at `from`, as `U` at `to`: the element loop
+/// behind both datasets' `requantize`.
+///
+/// The rounding mode is matched once, outside the loop, so the biased loop
+/// is a branch-free map the compiler vectorizes; the unbiased loop draws
+/// one sample per value from `Xorshift128::seed_from(seed)`.
+///
+/// # Panics
+///
+/// Panics if `to` is wider than `U`'s storage.
+pub(crate) fn reencode<T: Element, U: Element>(
+    values: &[T],
+    from: &FixedSpec,
+    to: FixedSpec,
+    rounding: Rounding,
+    seed: u64,
+) -> Vec<U> {
+    assert!(
+        to.bits() <= U::BITS,
+        "spec width {} exceeds storage width {}",
+        to.bits(),
+        U::BITS
+    );
+    // Writing through `iter_mut` (rather than collecting a `map`) keeps
+    // `to` a local the compiler can hoist out of the loop.
+    let mut out = vec![U::ZERO; values.len()];
+    match rounding {
+        Rounding::Biased => {
+            for (o, &v) in out.iter_mut().zip(values) {
+                *o = U::encode(v.decode(from), &to, Rounding::Biased, || 0.0);
+            }
+        }
+        Rounding::Unbiased => {
+            let mut rng = Xorshift128::seed_from(seed);
+            for (o, &v) in out.iter_mut().zip(values) {
+                *o = U::encode(v.decode(from), &to, Rounding::Unbiased, || rng.next_f32());
+            }
+        }
+    }
+    out
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,8 +1,8 @@
 //! Sparse example matrices in CSR layout with quantized values and indices.
 
 use buckwild_fixed::{FixedSpec, Rounding};
-use buckwild_prng::{Prng, Xorshift128};
 
+use crate::element::reencode;
 use crate::{Element, Label};
 
 /// One sparse example: parallel index/value slices.
@@ -214,8 +214,9 @@ impl<T: Element, I: IndexElement> SparseDataset<T, I> {
     ///
     /// # Panics
     ///
-    /// Panics if any feature index does not fit in `J` — use wider indices
-    /// or delta encoding for larger models.
+    /// Panics if `spec` is wider than `U`'s storage, or if any feature
+    /// index does not fit in `J` — use wider indices or delta encoding for
+    /// larger models.
     #[must_use]
     pub fn requantize<U: Element, J: IndexElement>(
         &self,
@@ -223,15 +224,7 @@ impl<T: Element, I: IndexElement> SparseDataset<T, I> {
         rounding: Rounding,
         seed: u64,
     ) -> SparseDataset<U, J> {
-        let mut rng = Xorshift128::seed_from(seed);
-        let values = self
-            .values
-            .iter()
-            .map(|&v| {
-                let x = v.decode(&self.spec);
-                U::encode(x, &spec, rounding, || rng.next_f32())
-            })
-            .collect();
+        let values = reencode(&self.values, &self.spec, spec, rounding, seed);
         let indices = self
             .indices
             .iter()
@@ -306,6 +299,13 @@ mod tests {
         assert_eq!(e0.indices, &[0u8, 3]);
         assert_eq!(e0.values[0], 127); // 1.0 saturates to 127/128
         assert_eq!(e0.values[1], -128);
+    }
+
+    #[test]
+    #[should_panic(expected = "spec width 16 exceeds storage width 8")]
+    fn requantize_rejects_spec_wider_than_storage() {
+        let _: SparseDataset<i8, u32> =
+            small().requantize(FixedSpec::unit_range(16), Rounding::Biased, 0);
     }
 
     #[test]

@@ -127,24 +127,28 @@ impl FixedSpec {
 
     /// The distance between adjacent representable values, `2^-frac`.
     #[must_use]
+    #[inline]
     pub fn quantum(&self) -> f32 {
-        (self.frac as f32).exp2().recip()
+        pow2(-self.frac)
     }
 
     /// The reciprocal of the quantum, `2^frac`.
     #[must_use]
+    #[inline]
     pub fn scale(&self) -> f32 {
-        (self.frac as f32).exp2()
+        pow2(self.frac)
     }
 
     /// Largest representable raw integer, `2^(bits-1) - 1`.
     #[must_use]
+    #[inline]
     pub fn max_repr(&self) -> i64 {
         (1i64 << (self.bits - 1)) - 1
     }
 
     /// Smallest representable raw integer, `-2^(bits-1)`.
     #[must_use]
+    #[inline]
     pub fn min_repr(&self) -> i64 {
         -(1i64 << (self.bits - 1))
     }
@@ -167,22 +171,36 @@ impl FixedSpec {
     /// only invoked when `rounding` requires randomness, so deterministic
     /// callers may pass `|| 0.0`.
     ///
-    /// The result saturates at the format bounds — saturation rather than
-    /// wraparound is essential for SGD stability and is what the paper's
-    /// AVX2 kernels obtain from instructions like `vpacksswb`.
+    /// [`Rounding::Biased`] rounds `x · 2^frac` to the nearest integer,
+    /// ties to even; a NaN quantizes to 0. Both modes saturate at
+    /// [`min_repr`](Self::min_repr) and [`max_repr`](Self::max_repr) (±inf
+    /// included) — saturation rather than wraparound is essential for SGD
+    /// stability and is what the paper's AVX2 kernels obtain from
+    /// instructions like `vpacksswb`.
     pub fn quantize<F: FnMut() -> f32>(&self, x: f32, rounding: Rounding, mut uniform: F) -> i64 {
-        let scaled = x as f64 * self.scale() as f64;
-        let raw = match rounding {
-            Rounding::Biased => round_half_to_even(scaled),
-            Rounding::Unbiased => stochastic_round(scaled, uniform() as f64),
-        };
-        raw.clamp(self.min_repr(), self.max_repr())
+        match rounding {
+            Rounding::Biased => self.quantize_biased(x),
+            Rounding::Unbiased => self.quantize_unbiased(x, uniform()),
+        }
     }
 
     /// Quantizes `x` with nearest rounding (no randomness needed).
+    ///
+    /// Branch-free, so a loop over it vectorizes: the scaled value is
+    /// clamped first (the bounds are integers, so this equals clamping the
+    /// rounded value) and then rounded by the FPU itself. Adding `1.5·2^52`
+    /// pushes every fraction bit out of an `f64` with `|y| < 2^51`, which
+    /// holds for any clamped value since widths stop at 32 bits.
     #[must_use]
+    #[inline]
     pub fn quantize_biased(&self, x: f32) -> i64 {
-        self.quantize(x, Rounding::Biased, || 0.0)
+        const ROUND: f64 = 6_755_399_441_055_744.0; // 1.5 · 2^52
+        let scaled = x as f64 * self.scale() as f64;
+        let clamped = scaled.clamp(self.min_repr() as f64, self.max_repr() as f64);
+        // A clamped value always fits `i32`, whose conversion from `f64`
+        // has a packed SSE2 form (`i64`'s has none). NaN survives the clamp
+        // and the rounding, and converts to 0.
+        ((clamped + ROUND) - ROUND) as i32 as i64
     }
 
     /// Quantizes `x` with stochastic rounding driven by `u ∈ [0, 1)`.
@@ -190,6 +208,7 @@ impl FixedSpec {
     /// The output is unbiased as long as `x` is within the representable
     /// range: `E[dequantize(quantize_unbiased(x, U))] = x` for uniform `U`.
     #[must_use]
+    #[inline]
     pub fn quantize_unbiased(&self, x: f32, u: f32) -> i64 {
         let scaled = x as f64 * self.scale() as f64;
         stochastic_round(scaled, u as f64).clamp(self.min_repr(), self.max_repr())
@@ -197,6 +216,7 @@ impl FixedSpec {
 
     /// Converts a raw integer representation back to `f32`.
     #[must_use]
+    #[inline]
     pub fn dequantize(&self, repr: i64) -> f32 {
         repr as f32 * self.quantum()
     }
@@ -206,12 +226,6 @@ impl FixedSpec {
     #[must_use]
     pub fn round_value(&self, x: f32) -> f32 {
         self.dequantize(self.quantize_biased(x))
-    }
-
-    /// Quantizes a full slice into `i64` raw values with nearest rounding.
-    #[must_use]
-    pub fn quantize_slice_biased(&self, xs: &[f32]) -> Vec<i64> {
-        xs.iter().map(|&x| self.quantize_biased(x)).collect()
     }
 
     /// True if `repr` is within this format's representable range.
@@ -227,21 +241,16 @@ impl fmt::Display for FixedSpec {
     }
 }
 
-/// Round-half-to-even on an `f64`, returning `i64` (saturating at i64 range).
-fn round_half_to_even(x: f64) -> i64 {
-    // f64 has enough mantissa for all our <=32-bit targets.
-    let floor = x.floor();
-    let diff = x - floor;
-    let base = floor as i64;
-    if diff > 0.5 || (diff == 0.5 && base % 2 != 0) {
-        base + 1
-    } else {
-        base
-    }
+/// `2^e` built from its exponent bits. [`FixedSpec::new`] bounds `frac` to
+/// `[-64, 64]`, so `e` is always well inside the normal `f32` range.
+#[inline]
+fn pow2(e: i32) -> f32 {
+    f32::from_bits(((e + 127) as u32) << 23)
 }
 
 /// Stochastic rounding: floor(x + u) for u uniform in [0,1) gives an
 /// unbiased estimate of x (paper Eq. (4)).
+#[inline]
 fn stochastic_round(x: f64, u: f64) -> i64 {
     (x + u).floor() as i64
 }
@@ -367,16 +376,6 @@ mod tests {
         assert_eq!(spec.quantum(), 4.0);
         assert_eq!(spec.quantize_biased(9.0), 2); // 9/4 = 2.25 -> 2
         assert_eq!(spec.dequantize(2), 8.0);
-    }
-
-    #[test]
-    fn quantize_slice_matches_scalar() {
-        let spec = FixedSpec::unit_range(8);
-        let xs = [0.1f32, -0.5, 0.99, -1.0, 0.0];
-        let qs = spec.quantize_slice_biased(&xs);
-        for (x, q) in xs.iter().zip(&qs) {
-            assert_eq!(*q, spec.quantize_biased(*x));
-        }
     }
 
     #[test]
