@@ -289,3 +289,131 @@ impl<R: Recorder> BackendState<R> for ShardedState {
         self.arena.mean_snapshot()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use buckwild_dataset::generate;
+    use buckwild_telemetry::NoopRecorder;
+    use buckwild_trace::NoopWorkerTracer;
+
+    use super::*;
+    use crate::predict::FixedWords;
+    use crate::train::sealed::Sealed;
+    use crate::train::{DenseExamples, DenseQuant, Examples, QuantState};
+    use crate::words::{AxpyF32, Snapshot};
+    use crate::Loss;
+
+    /// Not a multiple of 8, 32 or 64: every vector loop runs its tail.
+    const FEATURES: usize = 131;
+    const STEPS: usize = 48;
+
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    fn hash_words(words: &[FixedWords]) -> u64 {
+        fnv1a(words.iter().flat_map(|w| match w {
+            FixedWords::I8(v) => v.iter().map(|&x| x as u8).collect::<Vec<_>>(),
+            FixedWords::I16(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+            FixedWords::F32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+        }))
+    }
+
+    fn hash_sync(states: &[SyncState]) -> u64 {
+        fnv1a(states.iter().flat_map(|s| {
+            s.snapshot
+                .iter()
+                .chain(&s.pending)
+                .flat_map(|x| x.to_bits().to_le_bytes())
+        }))
+    }
+
+    /// Runs two workers' SGD writes on one thread, worker 0 then worker 1
+    /// every step, so no thread schedule enters the result: single-example
+    /// AXPYs (the worker's block-offset path), every fourth step a
+    /// mini-batch flush through `AxpyF32`, every seventh step a write
+    /// large enough to saturate, and a `tick` after each; then a final
+    /// `flush`. Returns hashes of both replicas' words and of both
+    /// workers' `SyncState`.
+    fn exchange_pin(signature: &str) -> (u64, u64) {
+        // Least squares on linear data: no `exp` anywhere, so the pins are
+        // IEEE-exact on any host.
+        let problem = generate::linear_dense(FEATURES, 64, 0.1, 5);
+        let config = SgdConfig::new(Loss::LeastSquares)
+            .signature(signature.parse().unwrap())
+            .threads(2)
+            .delta_every(3)
+            .step_size(0.5);
+        let precision = ModelPrecision::from_signature(&config.signature).unwrap();
+        let prepared = problem.data.prepare(&config);
+        let mut state = ShardedState::new(&config, precision, FEATURES);
+        let words: Vec<FixedWords> = {
+            let mut stores = BackendState::stores(&mut state, 2, &NoopRecorder);
+            for store in &mut stores {
+                store.sync.qbuf = vec![0; FEATURES];
+                store.sync.inbox = vec![0; FEATURES];
+            }
+            let mut rngs: Vec<QuantState> = (0..2)
+                .map(|t| QuantState::new(&config.quantizer, config.rounding, 40 + t))
+                .collect();
+            let mut scratch = vec![vec![0f32; FEATURES]; 2];
+            let mut tracer = NoopWorkerTracer;
+            for step in 0..STEPS {
+                for (t, store) in stores.iter_mut().enumerate() {
+                    let rng = &mut rngs[t];
+                    let i = (2 * step + t) % 64;
+                    rng.begin_iteration();
+                    let boost = if step % 7 == 6 { 40.0 } else { 1.0 };
+                    macro_rules! step {
+                        ($d:expr) => {{
+                            let (x, y) = $d.example(i);
+                            let dot = $d.dot(store, x);
+                            let a = boost * config.loss.axpy_scale(dot, y, config.step_size);
+                            if step % 4 == 3 {
+                                $d.accumulate(&mut scratch[t], x, a);
+                                store.with_words(AxpyF32(1.0, &scratch[t], |j| rng.uniform(j)));
+                                scratch[t].fill(0.0);
+                            } else {
+                                $d.accumulate(&mut scratch[t], x, 0.5 * a);
+                                $d.axpy(store, a, x, rng);
+                            }
+                        }};
+                    }
+                    match &prepared {
+                        DenseQuant::I8(d) => step!(d),
+                        DenseQuant::I16(d) => step!(d),
+                        DenseQuant::F32(_) => unreachable!("fixed-point signatures only"),
+                    }
+                    store.tick(&mut tracer);
+                }
+            }
+            for store in &mut stores {
+                store.flush(&mut tracer);
+            }
+            stores.iter_mut().map(|s| s.with_words(Snapshot)).collect()
+        };
+        assert!(words.iter().all(|w| w.len() == FEATURES));
+        (hash_words(&words), hash_sync(&state.sync_states))
+    }
+
+    #[test]
+    fn two_worker_exchange_is_pinned_d8m8() {
+        assert_eq!(
+            exchange_pin("D8M8"),
+            (0x55a4_67b0_183e_e5b8, 0xd6a1_f4c0_1411_6b17)
+        );
+    }
+
+    #[test]
+    fn two_worker_exchange_is_pinned_d16m16() {
+        assert_eq!(
+            exchange_pin("D16M16"),
+            (0xc19b_0456_17e5_1589, 0x93f2_a1a7_09c9_cd64)
+        );
+    }
+}
