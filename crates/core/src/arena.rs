@@ -294,7 +294,7 @@ mod tests {
     use super::*;
     use crate::words::{
         AxpyF32, AxpyFixed, AxpySparseF32, AxpySparseFixed, DotF32, DotFixed, DotSparseF32,
-        DotSparseFixed,
+        DotSparseFixed, Offsets,
     };
     use crate::SharedModel;
 
@@ -384,10 +384,15 @@ mod tests {
 
         let a = 0.37 * scale;
         shared.axpy_fixed(a, &x8, x_spec, &mut { off });
-        local.apply(AxpyFixed(a, &x8, x_spec, off));
+        local.apply(AxpyFixed(a, &x8, x_spec, Offsets::Each(off)));
         let a = -0.21 * scale;
         shared.axpy_fixed_block(a, &x8, x_spec, &offs);
-        local.apply(AxpyFixed(a, &x8, x_spec, |i: usize| offs[i & 7]));
+        local.apply(AxpyFixed(
+            a,
+            &x8,
+            x_spec,
+            Offsets::<fn(usize) -> i64>::Block(offs),
+        ));
         let a = 0.12 * scale;
         shared.axpy_f32(a, &xf, &mut { uni });
         local.apply(AxpyF32(a, &xf, uni));

@@ -19,7 +19,7 @@ use buckwild_kernels::optimized::FixedInt;
 use crate::predict::QuantizedModel;
 use crate::words::{
     AxpyF32, AxpyFixed, AxpySparseF32, AxpySparseFixed, DotF32, DotFixed, DotSparseF32,
-    DotSparseFixed, Op, Read, Snapshot, Word, Write,
+    DotSparseFixed, Offsets, Op, Read, Snapshot, Word, Write,
 };
 
 /// Storage precision of the shared model — the `M` term of the signature.
@@ -301,7 +301,7 @@ impl SharedModel {
         x_spec: &FixedSpec,
         offsets: &mut dyn FnMut(usize) -> i64,
     ) {
-        self.apply(AxpyFixed(a, x, x_spec, offsets));
+        self.apply(AxpyFixed(a, x, x_spec, Offsets::Each(offsets)));
     }
 
     /// Dense quantized AXPY with a fixed 8-entry offset block — the fast
@@ -319,7 +319,12 @@ impl SharedModel {
         x_spec: &FixedSpec,
         offsets: &[i64; 8],
     ) {
-        self.apply(AxpyFixed(a, x, x_spec, |i: usize| offsets[i & 7]));
+        self.apply(AxpyFixed(
+            a,
+            x,
+            x_spec,
+            Offsets::<fn(usize) -> i64>::Block(*offsets),
+        ));
     }
 
     /// Dense AXPY with float example data; fixed storage quantizes with

@@ -33,7 +33,7 @@ use crate::predict::{EpochSnapshot, QuantizedModel};
 use crate::shard::ShardedState;
 use crate::words::{
     AxpyF32, AxpyFixed, AxpySparseF32, AxpySparseFixed, DotF32, DotFixed, DotSparseF32,
-    DotSparseFixed, Op,
+    DotSparseFixed, Offsets, Op,
 };
 use crate::{metrics, ConfigError, Loss, ModelPrecision, SgdConfig, SharedModel};
 
@@ -586,11 +586,11 @@ impl<D: FixedInt> Examples for Fixed<DenseDataset<D>> {
     }
     #[inline]
     fn axpy<M: ModelStore>(&self, model: &mut M, a: f32, x: &[D], rng: &mut QuantState) {
-        let x_spec = &self.0.spec();
-        match rng.block_offsets() {
-            Some(offs) => model.with_words(AxpyFixed(a, x, x_spec, |j: usize| offs[j & 7])),
-            None => model.with_words(AxpyFixed(a, x, x_spec, |j| rng.offset15(j))),
-        }
+        let offsets = match rng.block_offsets() {
+            Some(block) => Offsets::Block(block),
+            None => Offsets::Each(|j| rng.offset15(j)),
+        };
+        model.with_words(AxpyFixed(a, x, &self.0.spec(), offsets));
     }
 }
 

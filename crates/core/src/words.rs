@@ -18,14 +18,20 @@
 //!
 //! Both backends therefore run the same source line for every multiply,
 //! shift, clamp and rounding-offset lookup: they agree bit for bit by
-//! construction. The one specialisation is [`DotFixed`] on plain integer
-//! words, which routes to the SIMD kernel [`dot_fixed_fixed`] (integer
-//! addition commutes, so its blocked sum equals the left-to-right one).
+//! construction. There are two specialisations, both on plain integer
+//! words, both to a SIMD kernel that equals the per-element loop:
+//!
+//! * [`DotFixed`] routes to [`dot_fixed_fixed`] (integer addition
+//!   commutes, so its blocked sum equals the left-to-right one);
+//! * [`AxpyFixed`] with [`Offsets::Block`] routes to
+//!   [`axpy_block_offsets`]: [`Word::gain`] is the kernel's multiplier and
+//!   the offsets and saturation are the same, so every element gets the
+//!   same integer arithmetic.
 
 use std::sync::atomic::{AtomicI16, AtomicI8, AtomicU32, Ordering};
 
 use buckwild_fixed::FixedSpec;
-use buckwild_kernels::optimized::{dot_fixed_fixed, FixedInt};
+use buckwild_kernels::optimized::{axpy_block_offsets, dot_fixed_fixed, FixedInt};
 
 use crate::predict::FixedWords;
 
@@ -91,6 +97,16 @@ pub trait Word: Copy {
     ) -> Option<f32> {
         None
     }
+    /// Runs the SIMD AXPY kernel with one offset block on plain words of
+    /// this type; `false` if there is none (the caller loops instead).
+    fn kernel_axpy<D: FixedInt>(
+        _x: &[D],
+        _w: &mut [Self],
+        _gain: Self::Wide,
+        _offsets: &[i64; 8],
+    ) -> bool {
+        false
+    }
 }
 
 macro_rules! int_word {
@@ -149,12 +165,17 @@ macro_rules! int_word {
             fn add(self, delta: i64) -> Self {
                 <$ty as FixedInt>::saturate(self as i64 + delta)
             }
+            /// `floor(target + u)` saturated to the word, without a libm
+            /// `floor`: clamping first (the bounds are integers, so it
+            /// commutes with `floor`) keeps the value in `i32` range,
+            /// truncation rounds toward zero, and a negative fraction
+            /// steps down by one. NaN clamps to NaN and truncates to 0.
             #[inline]
             fn step_f32(self, x: f32, scale: f32, u: impl FnOnce() -> f32) -> Self {
                 let target = self as f64 + (scale * x) as f64;
-                (target + u() as f64)
-                    .floor()
-                    .clamp(<$ty>::MIN as f64, <$ty>::MAX as f64) as $ty
+                let clamped = (target + u() as f64).clamp(<$ty>::MIN as f64, <$ty>::MAX as f64);
+                let trunc = clamped as i32;
+                (trunc - i32::from(clamped < trunc as f64)) as $ty
             }
             #[inline]
             fn kernel_dot<D: FixedInt>(
@@ -164,6 +185,16 @@ macro_rules! int_word {
                 spec: &FixedSpec,
             ) -> Option<f32> {
                 Some(dot_fixed_fixed(x, w, x_spec, spec))
+            }
+            #[inline]
+            fn kernel_axpy<D: FixedInt>(
+                x: &[D],
+                w: &mut [Self],
+                gain: i64,
+                offsets: &[i64; 8],
+            ) -> bool {
+                axpy_block_offsets(w, x, gain, offsets);
+                true
             }
         }
     };
@@ -244,6 +275,10 @@ pub trait Words<W: Word> {
     fn plain(&self) -> Option<&[W]> {
         None
     }
+    /// [`Words::plain`], writable.
+    fn plain_mut(&mut self) -> Option<&mut [W]> {
+        None
+    }
 }
 
 /// The shared model's words: relaxed atomics behind a shared reference.
@@ -271,6 +306,9 @@ impl<W: Word> Words<W> for &mut [W] {
         self[i] = word;
     }
     fn plain(&self) -> Option<&[W]> {
+        Some(self)
+    }
+    fn plain_mut(&mut self) -> Option<&mut [W]> {
         Some(self)
     }
 }
@@ -352,22 +390,52 @@ impl Op for DotSparseF32<'_> {
     }
 }
 
+/// Where an [`AxpyFixed`] takes element `i`'s pre-shift rounding offset
+/// (a value in `[0, 2^15)`).
+pub enum Offsets<F> {
+    /// `block[i & 7]`: one 8-entry block for the whole call, as biased
+    /// and per-iteration shared-randomness rounding draw. Plain integer
+    /// words run this through the SIMD kernel.
+    Block([i64; 8]),
+    /// `offsets(i)`, drawn per element.
+    Each(F),
+}
+
 /// `AxpyFixed(a, x, x_spec, offsets)`: dense quantized AXPY
-/// `w[i] ← sat(w[i] + round(a·x[i]))`; `offsets(i)` is element `i`'s
-/// pre-shift rounding offset (a closure, or `|i| block[i & 7]` for the
-/// fixed 8-entry block of biased and shared-randomness rounding).
-pub struct AxpyFixed<'x, D, F>(pub f32, pub &'x [D], pub &'x FixedSpec, pub F);
+/// `w[i] ← sat(w[i] + round(a·x[i]))`, rounded with [`Offsets`].
+pub struct AxpyFixed<'x, D, F>(pub f32, pub &'x [D], pub &'x FixedSpec, pub Offsets<F>);
 
 impl<D: FixedInt, F: FnMut(usize) -> i64> Op for AxpyFixed<'_, D, F> {
     type Out = ();
     fn run<W: Word, A: Words<W>>(self, mut w: A, spec: &FixedSpec) {
-        let AxpyFixed(a, x, x_spec, mut offsets) = self;
+        let AxpyFixed(a, x, x_spec, offsets) = self;
         assert_eq!(x.len(), w.len(), "length mismatch");
         let gain = W::gain(a, x_spec, spec);
-        for (i, xi) in (0..w.len()).zip(x) {
-            let delta = W::delta(xi.widen(), gain, || offsets(i));
-            w.set(i, w.get(i).add(delta));
+        match offsets {
+            Offsets::Block(block) => {
+                if let Some(words) = w.plain_mut() {
+                    if W::kernel_axpy(x, words, gain, &block) {
+                        return;
+                    }
+                }
+                axpy_fixed(w, x, gain, |i| block[i & 7]);
+            }
+            Offsets::Each(offsets) => axpy_fixed(w, x, gain, offsets),
         }
+    }
+}
+
+/// [`AxpyFixed`]'s per-element loop.
+#[inline]
+fn axpy_fixed<W: Word, A: Words<W>, D: FixedInt>(
+    mut w: A,
+    x: &[D],
+    gain: W::Wide,
+    mut offsets: impl FnMut(usize) -> i64,
+) {
+    for (i, xi) in (0..w.len()).zip(x) {
+        let delta = W::delta(xi.widen(), gain, || offsets(i));
+        w.set(i, w.get(i).add(delta));
     }
 }
 
@@ -472,5 +540,138 @@ pub fn dequantize_into<W: Word>(words: &[W], spec: &FixedSpec, out: &mut [f32]) 
     assert_eq!(out.len(), words.len(), "buffer length mismatch");
     for (o, w) in out.iter_mut().zip(words) {
         *o = w.dequantize(spec);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use buckwild_prng::{Prng, Xorshift128};
+
+    use super::*;
+
+    /// `v` moved `steps` ulps toward `+inf` (negative: toward `-inf`).
+    fn ulps(v: f32, steps: i32) -> f32 {
+        (0..steps.unsigned_abs()).fold(v, |v, _| {
+            if steps > 0 {
+                v.next_up()
+            } else {
+                v.next_down()
+            }
+        })
+    }
+
+    /// The integer words' `step_f32` as it was written with libm `floor`.
+    fn reference_step<W: FixedInt>(w: W, x: f32, scale: f32, u: f32) -> i32 {
+        let (min, max) = (W::saturate(i64::MIN).widen(), W::saturate(i64::MAX).widen());
+        let target = w.widen() as f64 + (scale * x) as f64;
+        (target + u as f64).floor().clamp(min as f64, max as f64) as i32
+    }
+
+    fn check_step<W: Word + FixedInt>() {
+        let (min, max) = (W::saturate(i64::MIN).widen(), W::saturate(i64::MAX).widen());
+        let words = [min, -1, 0, 1, max].map(|w| W::saturate(w.into()));
+        let check = |w: W, x: f32, scale: f32, u: f32| {
+            let got = w.step_f32(x, scale, || u).widen();
+            let want = reference_step(w, x, scale, u);
+            assert_eq!(got, want, "w={} x={x:e} scale={scale} u={u}", w.widen());
+        };
+        // ±4 ulps around every integer the sum can land on or just past.
+        for k in min - 2..=max + 2 {
+            for steps in -4..=4 {
+                check(W::saturate(0), ulps(k as f32, steps), 1.0, 0.0);
+                for w in words {
+                    let x = ulps((k - w.widen()) as f32, steps);
+                    for u in [0.0, 0.5, 0.999_999_94] {
+                        check(w, x, 1.0, u);
+                    }
+                }
+            }
+        }
+        for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e30, -1e30] {
+            for w in words {
+                for (scale, u) in [(1.0, 0.0), (1.0, 0.5), (-3.0, 0.25)] {
+                    check(w, x, scale, u);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_f32_matches_floor_then_clamp_i8() {
+        check_step::<i8>();
+    }
+
+    #[test]
+    fn step_f32_matches_floor_then_clamp_i16() {
+        check_step::<i16>();
+    }
+
+    /// AXPY multipliers on both sides of the kernel's `i32` fast-path
+    /// threshold for every (D, M) pair here, plus one that saturates `k`.
+    const GAINS: [f32; 9] = [0.37, -0.21, 1.5, -1.9, 2.5, -300.0, 600.0, -5000.0, 1e12];
+
+    /// `AxpyFixed` with an offset block on plain words (the SIMD kernel)
+    /// and on relaxed atomics (the per-element loop) must write the same
+    /// words: every length in `0..=192` and 2048, biased and random
+    /// blocks, every gain in [`GAINS`], from random models and from models
+    /// sitting at the saturation bounds.
+    fn check_block_axpy<D: FixedInt, M: Word<Wide = i64> + FixedInt>() {
+        let x_spec = FixedSpec::unit_range(D::BITS);
+        let spec = FixedSpec::model_range(M::BITS);
+        let fast = |a: f32| {
+            let k = M::gain(a, &x_spec, &spec);
+            k.abs().saturating_mul(1 << (D::BITS - 1)) < 1 << 30
+        };
+        assert!(GAINS.iter().any(|&a| fast(a)) && GAINS.iter().any(|&a| !fast(a)));
+
+        let mut rng = Xorshift128::seed_from(u64::from(D::BITS * 100 + M::BITS));
+        let random_block = [0; 8].map(|_: i64| i64::from(rng.next_u32() & 0x7fff));
+        let (min, max) = (M::saturate(i64::MIN), M::saturate(i64::MAX));
+        for n in (0..=192).chain([2048]) {
+            let x: Vec<D> = (0..n)
+                .map(|_| D::saturate(i64::from(rng.next_u32() as i32)))
+                .collect();
+            let random: Vec<M> = (0..n)
+                .map(|_| M::saturate(i64::from(rng.next_u32() as i32)))
+                .collect();
+            let bounds: Vec<M> = (0..n).map(|i| [min, max][i % 2]).collect();
+            for init in [&random, &bounds] {
+                for block in [[1i64 << 14; 8], random_block] {
+                    for a in GAINS {
+                        let mut plain = init.clone();
+                        let atomic: Vec<M::Atomic> = init
+                            .iter()
+                            .map(|&w| {
+                                let cell = M::Atomic::default();
+                                M::store(&cell, w);
+                                cell
+                            })
+                            .collect();
+                        let op =
+                            || AxpyFixed(a, &x, &x_spec, Offsets::<fn(usize) -> i64>::Block(block));
+                        op().run(&mut plain[..], &spec);
+                        op().run::<M, _>(&atomic[..], &spec);
+                        let looped: Vec<M> = atomic.iter().map(M::load).collect();
+                        assert!(
+                            plain
+                                .iter()
+                                .zip(&looped)
+                                .all(|(p, l)| p.widen() == l.widen()),
+                            "D{} M{} n={n} a={a} block={block:?}",
+                            D::BITS,
+                            M::BITS
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_axpy_kernel_matches_per_element_loop() {
+        check_block_axpy::<i8, i8>();
+        check_block_axpy::<i8, i16>();
+        check_block_axpy::<i16, i8>();
+        check_block_axpy::<i16, i16>();
     }
 }

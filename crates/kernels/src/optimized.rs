@@ -446,11 +446,23 @@ impl<'a, 'b> OffsetSource<'a, 'b> {
     }
 }
 
-/// The branch-free integer AXPY inner loop: 8-element chunks with a fixed
-/// offset vector, in `i32` when the products cannot overflow (the fast,
-/// vectorizable path) and `i64` otherwise.
+/// Integer AXPY `w[i] ← sat(w[i] + ((x[i]·k + offs[i & 7]) >> 15))` with
+/// the `Q17.15` multiplier `k = round(a · q_x / q_w · 2^15)` already
+/// scaled and clamped to the `i32` range, and one 8-entry block of
+/// rounding offsets in `[0, 2^15)` for the whole call: biased rounding
+/// (all half) or per-iteration shared randomness.
+///
+/// The loop is branch-free 8-element chunks with a fixed offset vector:
+/// the SIMD kernel or its scalar twin in `i32` when the products cannot
+/// overflow, and `i64` otherwise. Both give the per-element `i64`
+/// arithmetic's result bit for bit.
+///
+/// # Panics
+///
+/// Panics if `x.len() != w.len()`.
 #[inline]
-fn axpy_loop_offsets<D: FixedInt, M: FixedInt>(w: &mut [M], x: &[D], k: i64, offs: &[i64; 8]) {
+pub fn axpy_block_offsets<D: FixedInt, M: FixedInt>(w: &mut [M], x: &[D], k: i64, offs: &[i64; 8]) {
+    assert_eq!(x.len(), w.len(), "length mismatch");
     // i32 fast path: |x·k + off| must fit in i31.
     // The delta and the updated value must both fit i32: deltas are bounded
     // by |x·k| >> 15 and the model value by M::BITS, so requiring
@@ -545,11 +557,11 @@ pub fn axpy_fixed_fixed<D: FixedInt, M: FixedInt>(
     let k = scale_multiplier(a, x_spec, w_spec);
     match &mut rand {
         AxpyRand::Biased => {
-            axpy_loop_offsets(w, x, k, &[HALF; 8]);
+            axpy_block_offsets(w, x, k, &[HALF; 8]);
         }
         AxpyRand::Shared(block) => {
             let offs = block.map(|word| (word & MASK) as i64);
-            axpy_loop_offsets(w, x, k, &offs);
+            axpy_block_offsets(w, x, k, &offs);
         }
         AxpyRand::FreshLanes(lanes) => {
             // Refresh the 256-bit block every 8 elements.

@@ -259,7 +259,7 @@ macro_rules! axpy_offsets_wrapper {
 }
 
 axpy_offsets_wrapper!(
-    /// Integer AXPY i32 fast path, D8M8 (see `optimized::axpy_loop_offsets`).
+    /// Integer AXPY i32 fast path, D8M8 (see `optimized::axpy_block_offsets`).
     axpy_offsets_i8_i8, i8, i8, axpy_offsets_i8_i8_avx2
 );
 axpy_offsets_wrapper!(
