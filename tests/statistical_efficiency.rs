@@ -3,7 +3,7 @@
 
 use std::num::NonZeroU32;
 
-use buckwild::{Loss, PrngKind, Rounding, SgdConfig};
+use buckwild::{Backend, Loss, PrngKind, Rounding, SgdConfig};
 use buckwild_dataset::generate;
 use buckwild_kernels::cost::QuantizerKind;
 
@@ -121,4 +121,34 @@ fn dataset_quantization_is_cheap_statistically() {
         (d8_only - full).abs() < 0.05,
         "D8M32f {d8_only} vs full {full}"
     );
+}
+
+/// Two workers racing on one small shared model lose updates and still
+/// converge like one worker ("Taming the Wild", PAPERS.md). The model is
+/// 64 D8 words, a single cache line, so the workers collide on nearly
+/// every write whatever the granularity of the store's race: one word per
+/// lost update, or a whole line.
+#[test]
+fn two_worker_race_on_a_small_shared_model_converges_like_one() {
+    for seed in [61, 62, 63] {
+        let problem = generate::logistic_dense(64, 800, seed);
+        let run = |threads: usize| {
+            SgdConfig::new(Loss::Logistic)
+                .backend(Backend::SharedModel)
+                .signature("D8M8".parse().expect("test signature"))
+                .step_size(0.3)
+                .step_decay(0.85)
+                .epochs(8)
+                .threads(threads)
+                .seed(seed)
+                .train(&problem.data)
+                .expect("valid config")
+                .final_loss()
+        };
+        let (one, two) = (run(1), run(2));
+        assert!(
+            (two - one).abs() < 0.05,
+            "seed {seed}: 2 workers {two} vs 1 worker {one}"
+        );
+    }
 }
