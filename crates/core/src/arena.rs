@@ -221,7 +221,7 @@ enum LocalStore<'a> {
 ///
 /// The worker loop runs the crate's model operations on it through
 /// [`LocalModel::apply`], exactly as it runs them on the shared model's
-/// atomics. The methods here are the delta exchange's own: restore,
+/// atomic cells. The methods here are the delta exchange's own: restore,
 /// dequantize, diff against a snapshot, apply a peer's packet.
 pub struct LocalModel<'a> {
     store: LocalStore<'a>,

@@ -74,11 +74,8 @@ fixed_int!(i32);
 /// Block width of the integer dot inner loop (one 256-bit register of i8).
 const DOT_BLOCK: usize = 32;
 
-/// Integer-MAC dot product for any fixed/fixed precision pair.
-///
-/// Products are exact in `i32` (ample for <=16-bit inputs); each block's
-/// partial sum is flushed into an `i64` total so arbitrarily long vectors
-/// cannot overflow. The result is scaled by both quanta once.
+/// Integer-MAC dot product for any fixed/fixed precision pair: the exact
+/// integer sum [`dot_fixed_sum`], scaled by both quanta once.
 ///
 /// # Panics
 ///
@@ -90,6 +87,22 @@ pub fn dot_fixed_fixed<D: FixedInt, M: FixedInt>(
     x_spec: &FixedSpec,
     w_spec: &FixedSpec,
 ) -> f32 {
+    dot_fixed_sum(x, w) as f32 * x_spec.quantum() * w_spec.quantum()
+}
+
+/// The exact integer sum `Σ x[i]·w[i]` of a fixed/fixed dot product, in
+/// units of both quanta.
+///
+/// Products are exact in `i32` (ample for <=16-bit inputs); each block's
+/// partial sum is flushed into an `i64` total so arbitrarily long vectors
+/// cannot overflow. Integer addition commutes, so the sums of consecutive
+/// chunks add up to the sum of the whole.
+///
+/// # Panics
+///
+/// Panics if `x.len() != w.len()`.
+#[must_use]
+pub fn dot_fixed_sum<D: FixedInt, M: FixedInt>(x: &[D], w: &[M]) -> i64 {
     assert_eq!(x.len(), w.len(), "length mismatch");
     let mut total = 0i64;
     // Products of a D-bit and an M-bit operand span D+M-1 bits; when four
@@ -100,7 +113,7 @@ pub fn dot_fixed_fixed<D: FixedInt, M: FixedInt>(
     if D::BITS + M::BITS <= 30 {
         if let (Some(xs), Some(ws)) = (D::as_i8s(x), M::as_i8s(w)) {
             if let Some(total) = simd::dot_i8_i8(xs, ws) {
-                return total as f32 * x_spec.quantum() * w_spec.quantum();
+                return total;
             }
         }
         let mut xc = x.chunks_exact(DOT_BLOCK);
@@ -118,7 +131,7 @@ pub fn dot_fixed_fixed<D: FixedInt, M: FixedInt>(
     } else {
         if let (Some(xs), Some(ws)) = (D::as_i16s(x), M::as_i16s(w)) {
             if let Some(total) = simd::dot_i16_i16(xs, ws) {
-                return total as f32 * x_spec.quantum() * w_spec.quantum();
+                return total;
             }
         }
         let mut xc = x.chunks_exact(16);
@@ -134,7 +147,7 @@ pub fn dot_fixed_fixed<D: FixedInt, M: FixedInt>(
             total += (xi.widen() * wi.widen()) as i64;
         }
     }
-    total as f32 * x_spec.quantum() * w_spec.quantum()
+    total
 }
 
 /// `dot_fixed_fixed` for the paper's flagship D8M8 pair.
