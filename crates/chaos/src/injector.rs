@@ -1,6 +1,5 @@
-//! Engine-facing injection hooks, mirroring the telemetry `Recorder`
-//! pattern: a zero-sized no-op default that monomorphizes away, and a
-//! plan-driven implementation for injected runs.
+//! The training engine's view of a [`FaultPlan`]: one fault stream per
+//! `(worker, epoch)`, with each scheduled crash consumed on its first fire.
 
 use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -8,109 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use crate::plan::{FaultPlan, PlanError};
 use crate::schedule::{IterFate, WorkerRun, WriteFate};
 
-/// A source of per-worker fault streams the training engine is generic
-/// over.
-///
-/// The engine asks for one [`WorkerInjector`] per `(worker, epoch)` pair
-/// and consults it on every iteration and every shared-model write. With
-/// the default [`NoopInjector`] every hook is an empty `#[inline(always)]`
-/// body, so fault-free training compiles to the uninjected machine code —
-/// the same zero-cost bargain as `NoopRecorder`.
-pub trait Injector: Sync {
-    /// The per-worker fault stream handed to each training thread.
-    type Worker<'a>: WorkerInjector + Send
-    where
-        Self: 'a;
-
-    /// Whether this injector can ever inject a fault. Engines skip
-    /// chaos-metric registration when `ACTIVE` is `false`, keeping
-    /// fault-free metric snapshots free of zero-valued `chaos.*` entries.
-    const ACTIVE: bool = true;
-
-    /// Returns the fault stream for one `(worker, epoch)` pair.
-    fn worker(&self, worker: usize, epoch: usize) -> Self::Worker<'_>;
-
-    /// How often (in epochs) the engine should checkpoint the model for
-    /// crash recovery. `None` disables checkpointing.
-    fn checkpoint_epochs(&self) -> Option<NonZeroU32> {
-        None
-    }
-}
-
-/// The per-worker half of an [`Injector`]: the fault stream one training
-/// thread consults during one epoch.
-pub trait WorkerInjector {
-    /// The fate of the next iteration; call exactly once per iteration.
-    fn iter_fate(&mut self) -> IterFate;
-
-    /// The fate of the next shared-model write.
-    fn write_fate(&mut self) -> WriteFate;
-
-    /// Convenience: `true` if the next write should reach the shared
-    /// model. Engines without a delay queue treat [`WriteFate::Delay`] as
-    /// an immediate apply.
-    fn keep_write(&mut self) -> bool {
-        !matches!(self.write_fate(), WriteFate::Drop)
-    }
-}
-
-impl<I: Injector> Injector for &I {
-    type Worker<'a>
-        = I::Worker<'a>
-    where
-        Self: 'a;
-
-    const ACTIVE: bool = I::ACTIVE;
-
-    #[inline(always)]
-    fn worker(&self, worker: usize, epoch: usize) -> Self::Worker<'_> {
-        (**self).worker(worker, epoch)
-    }
-
-    #[inline(always)]
-    fn checkpoint_epochs(&self) -> Option<NonZeroU32> {
-        (**self).checkpoint_epochs()
-    }
-}
-
-/// The zero-cost default injector: never injects anything.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopInjector;
-
-/// The per-worker stream of [`NoopInjector`]: every iteration proceeds,
-/// every write applies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopWorkerInjector;
-
-impl Injector for NoopInjector {
-    type Worker<'a> = NoopWorkerInjector;
-
-    const ACTIVE: bool = false;
-
-    #[inline(always)]
-    fn worker(&self, _worker: usize, _epoch: usize) -> NoopWorkerInjector {
-        NoopWorkerInjector
-    }
-}
-
-impl WorkerInjector for NoopWorkerInjector {
-    #[inline(always)]
-    fn iter_fate(&mut self) -> IterFate {
-        IterFate::Proceed
-    }
-
-    #[inline(always)]
-    fn write_fate(&mut self) -> WriteFate {
-        WriteFate::Apply
-    }
-
-    #[inline(always)]
-    fn keep_write(&mut self) -> bool {
-        true
-    }
-}
-
-/// An [`Injector`] driven by a validated [`FaultPlan`].
+/// A validated [`FaultPlan`] as the training engine consults it.
 ///
 /// Holds one consumed-flag per scheduled crash so each crash fires at most
 /// once per training run even when an epoch is replayed after recovery.
@@ -136,24 +33,19 @@ impl PlanInjector {
         Ok(PlanInjector { plan, fired })
     }
 
-    /// The plan this injector executes.
+    /// Returns the fault stream for one `(worker, epoch)` pair.
     #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-}
-
-impl Injector for PlanInjector {
-    type Worker<'a> = PlanWorker<'a>;
-
-    fn worker(&self, worker: usize, epoch: usize) -> PlanWorker<'_> {
+    pub fn worker(&self, worker: usize, epoch: usize) -> PlanWorker<'_> {
         PlanWorker {
             run: self.plan.worker_run(worker, epoch),
             fired: &self.fired,
         }
     }
 
-    fn checkpoint_epochs(&self) -> Option<NonZeroU32> {
+    /// How often (in epochs) the engine should checkpoint the model for
+    /// crash recovery. `None` disables checkpointing.
+    #[must_use]
+    pub fn checkpoint_epochs(&self) -> Option<NonZeroU32> {
         if self.plan.needs_checkpoints() {
             NonZeroU32::new(1)
         } else {
@@ -162,7 +54,7 @@ impl Injector for PlanInjector {
     }
 }
 
-/// The per-worker stream of a [`PlanInjector`].
+/// The fault stream one training thread consults during one epoch.
 #[derive(Debug)]
 pub struct PlanWorker<'a> {
     run: WorkerRun,
@@ -170,15 +62,10 @@ pub struct PlanWorker<'a> {
 }
 
 impl PlanWorker<'_> {
-    /// Draws whether a stale local view of one model cache line refreshes
-    /// this iteration (see [`WorkerRun::refresh_view`]).
-    pub fn refresh_view(&mut self) -> bool {
-        self.run.refresh_view()
-    }
-}
-
-impl WorkerInjector for PlanWorker<'_> {
-    fn iter_fate(&mut self) -> IterFate {
+    /// The fate of the next iteration; call exactly once per iteration. A
+    /// crash another stream (or an earlier attempt at this epoch) already
+    /// fired comes back as [`IterFate::Proceed`].
+    pub fn iter_fate(&mut self) -> IterFate {
         match self.run.iter_fate() {
             IterFate::Crash(idx) => {
                 if self.fired[idx].swap(true, Ordering::Relaxed) {
@@ -191,24 +78,16 @@ impl WorkerInjector for PlanWorker<'_> {
         }
     }
 
-    fn write_fate(&mut self) -> WriteFate {
-        self.run.write_fate()
+    /// `true` if the next shared-model write should reach the model. The
+    /// engine has no delay queue, so [`WriteFate::Delay`] applies at once.
+    pub fn keep_write(&mut self) -> bool {
+        !matches!(self.run.write_fate(), WriteFate::Drop)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_injector_is_inert_and_inactive() {
-        let mut w = NoopInjector.worker(0, 0);
-        assert_eq!(w.iter_fate(), IterFate::Proceed);
-        assert_eq!(w.write_fate(), WriteFate::Apply);
-        assert!(w.keep_write());
-        const { assert!(!NoopInjector::ACTIVE) };
-        assert_eq!(NoopInjector.checkpoint_epochs(), None);
-    }
 
     #[test]
     fn plan_injector_validates() {
@@ -233,15 +112,5 @@ mod tests {
         assert_eq!(benign.checkpoint_epochs(), None);
         let crashy = PlanInjector::new(FaultPlan::new(0).crash(0, 0, 0)).unwrap();
         assert_eq!(crashy.checkpoint_epochs(), NonZeroU32::new(1));
-    }
-
-    #[test]
-    fn reference_forwarding_preserves_activity() {
-        fn active<I: Injector>(_: &I) -> bool {
-            I::ACTIVE
-        }
-        let inj = PlanInjector::new(FaultPlan::new(0)).unwrap();
-        assert!(active(&&inj));
-        assert!(!active(&&NoopInjector));
     }
 }

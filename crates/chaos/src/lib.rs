@@ -19,12 +19,11 @@
 //!   a plan: a stream of [`IterFate`]/[`WriteFate`] decisions derived from
 //!   `buckwild-prng` streams split off the plan seed. Same seed ⇒
 //!   byte-identical schedule ([`FaultPlan::schedule_bytes`]).
-//! * [`Injector`]/[`WorkerInjector`] — the hook traits the training engine
-//!   in `buckwild` is generic over, mirroring the telemetry `Recorder`
-//!   pattern: [`NoopInjector`] is a zero-sized default whose hooks are
-//!   empty `#[inline(always)]` bodies (fault-free training monomorphizes
-//!   to the uninjected machine code), while [`PlanInjector`] drives the
-//!   hooks from a [`FaultPlan`].
+//! * [`PlanInjector`]/[`PlanWorker`] — a validated plan as the training
+//!   engine in `buckwild` consults it: one stream per `(worker, epoch)`,
+//!   each scheduled crash fired once per run. A run without a plan holds
+//!   no injector at all, so the engine has one worker loop, not one per
+//!   fault source.
 //!
 //! # Example
 //!
@@ -53,9 +52,7 @@ mod injector;
 mod plan;
 mod schedule;
 
-pub use injector::{
-    Injector, NoopInjector, NoopWorkerInjector, PlanInjector, PlanWorker, WorkerInjector,
-};
+pub use injector::{PlanInjector, PlanWorker};
 pub use plan::{CrashSpec, FaultPlan, PlanError};
 pub use schedule::{IterFate, WorkerRun, WriteFate};
 
