@@ -1,4 +1,4 @@
-//! Fixed-point scalar types, quantization, and rounding.
+//! Fixed-point formats, quantization, and rounding.
 //!
 //! This crate is the numeric substrate for the `buckwild` workspace, a Rust
 //! reproduction of *Understanding and Optimizing Asynchronous Low-Precision
@@ -11,15 +11,13 @@
 //! * **unbiased** (stochastic) rounding, which randomly rounds up or down so
 //!   the *expected* quantized value equals the input.
 //!
-//! The crate provides three layers:
+//! The crate provides three pieces:
 //!
 //! 1. [`FixedSpec`] — a runtime description of a fixed-point format
 //!    (bit width + fractional bits) with quantize/dequantize operations.
 //!    SGD kernels store raw `i8`/`i16` slices and use a `FixedSpec` to
 //!    interpret them; this mirrors how the paper's C++ kernels work.
-//! 2. Typed scalars [`Fx8`], [`Fx16`], [`Fx32`] (const-generic fractional
-//!    bits) and the packed-nibble [`Fx4`] — safe wrappers with saturating
-//!    arithmetic for code that wants the type system to track the format.
+//! 2. [`NibbleVec`] and its helpers — 4-bit values packed two per byte.
 //! 3. [`Rounding`] — the rounding-strategy vocabulary shared by the whole
 //!    workspace.
 //!
@@ -42,12 +40,10 @@
 mod nibble;
 mod rounding;
 mod spec;
-mod types;
 
 pub use nibble::{nibble_dot_i32, pack_nibbles, unpack_nibbles, NibbleVec};
 pub use rounding::Rounding;
 pub use spec::{FixedSpec, FixedSpecError};
-pub use types::{Fx16, Fx32, Fx4, Fx8};
 
 /// Number of bits in a full-precision (`f32`) value, for symmetry in tables.
 pub const FLOAT_BITS: u32 = 32;

@@ -5,7 +5,7 @@
 //! fixed seed, but broad enough to cover the precision, range, and rounding
 //! axes the original property statements quantified over.
 
-use buckwild_fixed::{nibble_dot_i32, FixedSpec, Fx16, Fx8, NibbleVec, Rounding};
+use buckwild_fixed::{nibble_dot_i32, FixedSpec, NibbleVec, Rounding};
 use buckwild_prng::{Prng, Xorshift128};
 
 const CASES: usize = 512;
@@ -63,33 +63,6 @@ fn quantize_never_leaves_range() {
             let q = spec.quantize(x, rounding, || u);
             assert!(spec.contains_repr(q), "bits={bits} frac={frac} x={x} q={q}");
         }
-    }
-}
-
-/// Fx8 addition is commutative and saturating.
-#[test]
-fn fx8_add_commutes() {
-    let mut rng = Xorshift128::seed_from(0xF4);
-    for _ in 0..CASES {
-        let a = rng.next_u32() as i8;
-        let b = rng.next_u32() as i8;
-        let x = Fx8::<7>::from_repr(a);
-        let y = Fx8::<7>::from_repr(b);
-        assert_eq!(x + y, y + x);
-        assert_eq!((x + y).repr(), a.saturating_add(b));
-    }
-}
-
-/// Fx16 widening multiply is exact versus the i32 reference.
-#[test]
-fn fx16_widening_mul_exact() {
-    let mut rng = Xorshift128::seed_from(0xF5);
-    for _ in 0..CASES {
-        let a = rng.next_u32() as i16;
-        let b = rng.next_u32() as i16;
-        let x = Fx16::<8>::from_repr(a);
-        let y = Fx16::<8>::from_repr(b);
-        assert_eq!(x.widening_mul(y), a as i32 * b as i32);
     }
 }
 
