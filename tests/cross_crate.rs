@@ -14,27 +14,33 @@ fn perf_model_predicts_engine_throughput() {
     let sig: Signature = "D8M8".parse().expect("static");
     let n = 1 << 12;
     let problem = generate::logistic_dense(n, 256, 31);
-    // Median-of-5: each run is only milliseconds long, so scheduler
-    // noise on a busy (possibly single-core) host can swing a single
-    // sample's GNPS by several x in either direction.
-    let run = |threads: usize| {
-        let mut samples: Vec<f64> = (0..5)
-            .map(|_| {
-                SgdConfig::new(Loss::Logistic)
-                    .signature(sig)
-                    .threads(threads)
-                    .epochs(2)
-                    .record_losses(false)
-                    .train(&problem.data)
-                    .expect("valid config")
-                    .gnps()
-            })
-            .collect();
+    // One sample keeps training until it has timed at least 50 ms: a
+    // two-epoch run is only milliseconds long, and one scheduler hiccup on
+    // a busy (possibly single-core) host can swing it by several x.
+    let sample = |threads: usize| {
+        let (mut numbers, mut seconds) = (0u64, 0f64);
+        while seconds < 0.05 {
+            let report = SgdConfig::new(Loss::Logistic)
+                .signature(sig)
+                .threads(threads)
+                .epochs(2)
+                .record_losses(false)
+                .train(&problem.data)
+                .expect("valid config");
+            numbers += report.numbers_processed();
+            seconds += report.wall_seconds();
+        }
+        numbers as f64 / seconds / 1e9
+    };
+    // Median-of-5 on top, against the rare sample that is slow throughout.
+    // The 1- and 2-worker samples alternate, so a slow stretch of the host
+    // (or a sibling test still running) lands on both sides alike.
+    let (mut t1, mut t2): (Vec<f64>, Vec<f64>) = (0..5).map(|_| (sample(1), sample(2))).unzip();
+    let median = |samples: &mut [f64]| {
         samples.sort_by(f64::total_cmp);
         samples[samples.len() / 2]
     };
-    let t1 = run(1);
-    let t2 = run(2);
+    let (t1, t2) = (median(&mut t1), median(&mut t2));
     let mut model = PerfModel::new(AmdahlParams::paper_xeon());
     model.calibrate(&sig, t1);
     let predicted = model.predict(&sig, n, 2).expect("calibrated");
