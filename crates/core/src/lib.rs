@@ -48,9 +48,8 @@
 //! obstinate-cache read staleness, progress skew, and mid-epoch crashes
 //! with checkpoint recovery — and the engines execute it deterministically.
 //! A plan is part of the configuration: [`SgdConfig::faults`] injects it
-//! into the threaded Hogwild engine, [`sync::SyncSgdConfig::faults`] into
-//! the synchronous one, and [`ChaosSgdConfig`] (which takes its plan in
-//! `new`) runs the single-thread deterministic simulator whose
+//! into the threaded Hogwild engine, and [`ChaosSgdConfig`] (which takes
+//! its plan in `new`) runs the single-thread deterministic simulator whose
 //! [`ChaosReport`] is bit-reproducible per seed. The common import surface
 //! lives in [`prelude`].
 //!
@@ -60,10 +59,10 @@
 //! `train_traced(&data, …)`: the configuration decides what a run computes,
 //! fault plan included, and `train_traced`'s arguments decide who watches
 //! it. The traced entry points ([`SgdConfig::train_traced`],
-//! [`ChaosSgdConfig::train_traced`], [`sync::SyncSgdConfig::train_traced`])
-//! record per-worker epoch/minibatch/kernel/write/fault timelines into a
-//! [`RingTracer`], exportable as Chrome trace-event JSON
-//! (chrome://tracing, Perfetto) or a flamegraph-style self-time summary.
+//! [`ChaosSgdConfig::train_traced`]) record per-worker
+//! epoch/minibatch/kernel/write/fault timelines into a [`RingTracer`],
+//! exportable as Chrome trace-event JSON (chrome://tracing, Perfetto) or a
+//! flamegraph-style self-time summary.
 //!
 //! Supporting modules: [`model`] (the shared atomic parameter vector),
 //! [`loss`] (the GLM losses, all a single dot-and-AXPY pair per step),
@@ -94,7 +93,6 @@ pub mod prelude;
 pub mod rff;
 pub mod ring;
 mod shard;
-pub mod sync;
 mod train;
 mod words;
 

@@ -8,8 +8,6 @@
 //! to the fault-free loss.
 
 use std::num::NonZeroU64;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use buckwild::prelude::*;
 use buckwild_dataset::generate;
@@ -145,62 +143,11 @@ fn benign_plan_matches_uninjected_training() {
 }
 
 #[test]
-fn sync_engine_drops_messages_and_still_converges() {
-    let p = generate::logistic_dense(32, 400, 41);
-    let config = SyncSgdConfig::new(Loss::Logistic, 8).workers(4).epochs(8);
-    let clean = config.train(&p.data).unwrap();
-    assert_eq!(clean.dropped_messages(), 0);
-    let faulty = config.faults(FaultPlan::new(13).drop_writes(0.25));
-    let report = faulty.train(&p.data).unwrap();
-    assert!(report.dropped_messages() > 0);
-    assert_eq!(report.epoch_losses().len(), clean.epoch_losses().len());
-    assert!(
-        report.final_loss() < clean.final_loss() + 0.15,
-        "faulty {} vs clean {}",
-        report.final_loss(),
-        clean.final_loss()
-    );
-    // Same plan, same seed: the sync engine is deterministic too.
-    assert_eq!(report, faulty.train(&p.data).unwrap());
-}
-
-#[test]
-fn sync_observer_can_stop_early() {
-    let p = generate::logistic_dense(16, 100, 43);
-    let seen = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&seen);
-    let report = SyncSgdConfig::new(Loss::Logistic, 32)
-        .epochs(10)
-        .on_epoch(move |progress: &TrainProgress| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            if progress.epoch >= 2 {
-                TrainControl::Stop
-            } else {
-                TrainControl::Continue
-            }
-        })
-        .train(&p.data)
-        .unwrap();
-    assert_eq!(
-        report.epoch_losses().len(),
-        3,
-        "stopped after epoch index 2"
-    );
-    assert_eq!(seen.load(Ordering::SeqCst), 3);
-}
-
-#[test]
 fn invalid_plans_are_rejected_by_every_engine() {
     let p = generate::logistic_dense(8, 40, 47);
     let bad = FaultPlan::new(0).drop_writes(1.5);
     assert!(matches!(
         SgdConfig::new(Loss::Logistic)
-            .faults(bad.clone())
-            .train(&p.data),
-        Err(TrainError::Plan(PlanError::InvalidRate(_)))
-    ));
-    assert!(matches!(
-        SyncSgdConfig::new(Loss::Logistic, 8)
             .faults(bad.clone())
             .train(&p.data),
         Err(TrainError::Plan(PlanError::InvalidRate(_)))
@@ -211,10 +158,10 @@ fn invalid_plans_are_rejected_by_every_engine() {
 }
 
 #[test]
-fn sync_engine_rejects_step_decays_the_other_engines_reject() {
+fn every_engine_rejects_the_same_step_decays() {
     let p = generate::logistic_dense(8, 40, 47);
     for decay in [f32::NAN, f32::INFINITY, 0.0, -1.0] {
-        let result = SyncSgdConfig::new(Loss::Logistic, 8)
+        let result = SgdConfig::new(Loss::Logistic)
             .epochs(3)
             .step_decay(decay)
             .train(&p.data);
@@ -223,12 +170,19 @@ fn sync_engine_rejects_step_decays_the_other_engines_reject() {
                 result,
                 Err(TrainError::Config(ConfigError::InvalidParameter(_)))
             ),
-            "step_decay {decay}: {result:?}"
+            "SgdConfig step_decay {decay}: {result:?}"
         );
-        assert!(SgdConfig::new(Loss::Logistic)
+        let result = ChaosSgdConfig::new(Loss::Logistic, FaultPlan::new(0))
+            .epochs(3)
             .step_decay(decay)
-            .validate()
-            .is_err());
+            .train(&p.data);
+        assert!(
+            matches!(
+                result,
+                Err(TrainError::Config(ConfigError::InvalidParameter(_)))
+            ),
+            "ChaosSgdConfig step_decay {decay}: {result:?}"
+        );
     }
 }
 
@@ -260,10 +214,8 @@ fn prelude_exposes_the_full_training_surface() {
     let _ = Loss::Logistic;
     let _ = FaultPlan::new(0);
     let _: Option<SgdConfig> = None;
-    let _: Option<SyncSgdConfig> = None;
     let _: Option<ChaosSgdConfig> = None;
     let _: Option<ChaosReport> = None;
-    let _: Option<SyncFaultReport> = None;
     let _: Option<TrainReport> = None;
     let _: Option<CrashSpec> = None;
     let _ = (IterFate::Proceed, WriteFate::Apply);
