@@ -2,9 +2,11 @@
 //! answered on the connection (never a silent drop), moves exactly its own
 //! `serve.*` counter, and leaves the connection and the shard's reused
 //! buffers fit to serve the next healthy request bit-identically.
+//! A peer that stops sending mid-frame cannot hold `shutdown`.
 
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use buckwild::prelude::*;
@@ -303,4 +305,41 @@ fn an_oversized_length_prefix_is_answered_counted_and_closed() {
     let metrics = server.shutdown();
     assert_eq!(metrics.counter(metric::BAD_REQUESTS), Some(1));
     assert_eq!(metrics.counter(metric::REQUESTS), Some(2));
+}
+
+/// Opens a connection, sends the first `sent(frame)` bytes of a healthy
+/// request frame and stops, then requires `shutdown` (on another thread)
+/// to return within 5 s while the peer still holds the connection open.
+fn shutdown_returns_while_a_peer_stalls(sent: impl Fn(&[u8]) -> usize) {
+    let hub = Arc::new(SnapshotHub::new());
+    let server = one_shard_server(&hub);
+    let frame = good_frame(&mut Xorshift128::seed_from(40));
+    let mut peer = Peer::connect(server.local_addr());
+    peer.stream
+        .write_all(&frame[..sent(&frame)])
+        .expect("partial frame");
+    // The shard must own the connection before the flag is set, or it
+    // would stop at its accept loop without ever reading the bytes.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.metrics().counter(metric::CONNECTIONS) != Some(1) {
+        assert!(Instant::now() < deadline, "connection never accepted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || done.send(server.shutdown()));
+    let metrics = finished
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown must not wait for a peer stalled mid-frame");
+    assert_eq!(metrics.counter(metric::REQUESTS).unwrap_or(0), 0);
+    drop(peer);
+}
+
+#[test]
+fn shutdown_returns_while_a_peer_stalls_inside_the_length_prefix() {
+    shutdown_returns_while_a_peer_stalls(|_| 3);
+}
+
+#[test]
+fn shutdown_returns_while_a_peer_stalls_inside_the_payload() {
+    shutdown_returns_while_a_peer_stalls(|frame| 4 + (frame.len() - 4) / 2);
 }
