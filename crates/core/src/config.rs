@@ -225,7 +225,11 @@ pub struct SgdConfig {
     pub epochs: usize,
     /// Base seed for dataset quantization and rounding randomness.
     pub seed: u64,
-    /// Evaluate and record the training loss after each epoch.
+    /// Evaluate and record the training loss after each epoch. The loss
+    /// is scored on `threads` threads and summed in
+    /// example order, so it is bit-equal to [`crate::mean_loss`] of the
+    /// same model; its cost lands in `train.eval_ns`, not in the epoch
+    /// time.
     pub record_losses: bool,
     /// Faults injected into the run (`None` = none); set with
     /// [`SgdConfig::faults`].
@@ -409,7 +413,9 @@ impl SgdConfig {
     }
 
     /// Enables or disables per-epoch loss recording (disable in throughput
-    /// benchmarks so evaluation does not pollute the timing).
+    /// benchmarks so evaluation does not pollute the timing). Evaluation
+    /// runs on the configured number of threads, each scoring a
+    /// contiguous range of examples, and is summed in example order.
     #[must_use]
     pub fn record_losses(mut self, record: bool) -> Self {
         self.record_losses = record;

@@ -21,16 +21,65 @@ pub fn mean_loss_of<P: Predictor + ?Sized>(
     predictor: &P,
     data: &DenseDataset<f32>,
 ) -> f64 {
+    let mut losses = vec![0f64; data.examples()];
+    losses_into(loss, predictor, data, 0, &mut losses);
+    mean_in_order(&losses)
+}
+
+/// Writes the loss of dense examples `first..first + out.len()` into `out`.
+///
+/// With [`mean_in_order`] this is the one evaluation body: the public
+/// mean-loss functions and the training engine's per-epoch loss (which
+/// fills disjoint chunks of one buffer on several threads) both run it.
+///
+/// # Panics
+///
+/// Panics if `predictor.features() != data.features()` or the range runs
+/// past the last example.
+pub(crate) fn losses_into<P: Predictor + ?Sized>(
+    loss: Loss,
+    predictor: &P,
+    data: &DenseDataset<f32>,
+    first: usize,
+    out: &mut [f64],
+) {
     assert_eq!(
         predictor.features(),
         data.features(),
         "model/data shape mismatch"
     );
-    let mut total = 0f64;
-    for i in 0..data.examples() {
-        total += loss.value(predictor.score(data.example(i)), data.label(i)) as f64;
+    for (i, slot) in (first..).zip(out) {
+        *slot = loss.value(predictor.score(data.example(i)), data.label(i)) as f64;
     }
-    total / data.examples() as f64
+}
+
+/// The sparse counterpart of [`losses_into`].
+pub(crate) fn losses_sparse_into<P: Predictor + ?Sized>(
+    loss: Loss,
+    predictor: &P,
+    data: &SparseDataset<f32, u32>,
+    first: usize,
+    out: &mut [f64],
+) {
+    assert_eq!(
+        predictor.features(),
+        data.features(),
+        "model/data shape mismatch"
+    );
+    for (i, slot) in (first..).zip(out) {
+        let ex = data.example(i);
+        *slot = loss.value(predictor.score_sparse(ex.values, ex.indices), data.label(i)) as f64;
+    }
+}
+
+/// The mean of per-example losses, summed in example order so that any
+/// split of the scoring gives the same bits.
+pub(crate) fn mean_in_order(losses: &[f64]) -> f64 {
+    let mut total = 0f64;
+    for &l in losses {
+        total += l;
+    }
+    total / losses.len() as f64
 }
 
 /// Mean loss of a float model over a dense dataset.
@@ -91,17 +140,9 @@ pub fn mean_loss_sparse_of<P: Predictor + ?Sized>(
     predictor: &P,
     data: &SparseDataset<f32, u32>,
 ) -> f64 {
-    assert_eq!(
-        predictor.features(),
-        data.features(),
-        "model/data shape mismatch"
-    );
-    let mut total = 0f64;
-    for i in 0..data.examples() {
-        let ex = data.example(i);
-        total += loss.value(predictor.score_sparse(ex.values, ex.indices), data.label(i)) as f64;
-    }
-    total / data.examples() as f64
+    let mut losses = vec![0f64; data.examples()];
+    losses_sparse_into(loss, predictor, data, 0, &mut losses);
+    mean_in_order(&losses)
 }
 
 /// Mean loss of a float model over a sparse dataset.

@@ -70,6 +70,12 @@ pub mod metric {
     /// worker spawn/join gets); this counter makes the cost visible
     /// instead of hidden.
     pub const SNAPSHOT_PUBLISH_NS: &str = "snapshot.publish_ns";
+    /// Counter: nanoseconds spent scoring the per-epoch training loss,
+    /// the `f32` snapshot it scores included. Registered only when
+    /// [`SgdConfig::record_losses`](crate::SgdConfig::record_losses) is
+    /// set. Evaluation runs outside the barrier-timed region, like
+    /// snapshot publication, so it never lands in [`EPOCH_SECONDS`].
+    pub const EVAL_NS: &str = "train.eval_ns";
 }
 
 /// Error from [`SgdConfig::train`].
@@ -221,7 +227,8 @@ pub struct TrainProgress {
     pub epochs: usize,
     /// Mean training loss after this epoch, if loss recording is on.
     pub loss: Option<f64>,
-    /// Cumulative wall-clock training seconds so far.
+    /// Cumulative wall-clock training seconds so far: worker-busy time
+    /// from [`metric::EPOCH_SECONDS`], loss evaluation excluded.
     pub wall_seconds: f64,
     /// Cumulative SGD iterations so far.
     pub iterations: u64,
@@ -827,8 +834,9 @@ pub(crate) mod sealed {
     use super::{Loss, ModelStore, Recorder, SgdConfig, Tracer, WorkerCtx};
 
     /// The private engine interface behind [`super::TrainData`]. Not
-    /// nameable outside this crate, which seals the public trait.
-    pub trait Sealed {
+    /// nameable outside this crate, which seals the public trait. `Sync`
+    /// because the per-epoch loss is scored on several threads.
+    pub trait Sealed: Sync {
         /// The dataset after quantization to the signature's `D` precision.
         type Prepared<'a>: Sync
         where
@@ -844,7 +852,9 @@ pub(crate) mod sealed {
             model: &mut M,
             worker: &mut WorkerCtx<'_, R, T>,
         ) -> bool;
-        fn mean_loss(&self, loss: Loss, model: &[f32]) -> f64;
+        /// Writes the loss of examples `first..first + out.len()` under
+        /// `model` into `out`; [`crate::metrics`] sums them in order.
+        fn losses(&self, loss: Loss, model: &[f32], first: usize, out: &mut [f64]);
     }
 }
 
@@ -853,9 +863,12 @@ pub(crate) mod sealed {
 /// Implemented by [`DenseDataset<f32>`] and [`SparseDataset<f32, u32>`];
 /// the trait is sealed, so these are the only implementations. The engine
 /// quantizes the data to the signature's dataset precision, runs the
-/// Hogwild! worker loop, and evaluates losses through this interface —
-/// dense and sparse training share one epoch loop, one instrumentation
-/// scheme, and one report shape.
+/// Hogwild! worker loop, and evaluates losses through this interface: the
+/// per-epoch loss is scored on `threads` threads, each over a contiguous
+/// range of examples, and summed in example order, so it is bit-equal to
+/// [`crate::mean_loss`] / [`crate::metrics::mean_loss_sparse`] of the same
+/// model. Dense and sparse training share one epoch loop, one
+/// instrumentation scheme, and one report shape.
 pub trait TrainData: sealed::Sealed {}
 
 impl sealed::Sealed for DenseDataset<f32> {
@@ -891,8 +904,8 @@ impl sealed::Sealed for DenseDataset<f32> {
         }
     }
 
-    fn mean_loss(&self, loss: Loss, model: &[f32]) -> f64 {
-        metrics::mean_loss(loss, model, self)
+    fn losses(&self, loss: Loss, model: &[f32], first: usize, out: &mut [f64]) {
+        metrics::losses_into(loss, model, self, first, out);
     }
 }
 
@@ -939,8 +952,8 @@ impl sealed::Sealed for SparseDataset<f32, u32> {
         }
     }
 
-    fn mean_loss(&self, loss: Loss, model: &[f32]) -> f64 {
-        metrics::mean_loss_sparse(loss, model, self)
+    fn losses(&self, loss: Loss, model: &[f32], first: usize, out: &mut [f64]) {
+        metrics::losses_sparse_into(loss, model, self, first, out);
     }
 }
 
@@ -1050,7 +1063,9 @@ impl SgdConfig {
 
     /// The epoch driver, once for both backends: spawn → barrier → timed
     /// join → crash/rollback → snapshot publish → loss eval → observer →
-    /// checkpoint, then the GNPS gauge and the report.
+    /// checkpoint, then the GNPS gauge and the report. The loss eval runs
+    /// on `threads` threads, each scoring a contiguous chunk of examples
+    /// into one per-run buffer, which the driver sums in example order.
     fn run_epochs<D, B, R, T>(
         &self,
         data: &D,
@@ -1069,6 +1084,13 @@ impl SgdConfig {
         let m = sealed::Sealed::examples(data);
         let mut epoch_losses = Vec::new();
         let epoch_seconds = recorder.histogram(metric::EPOCH_SECONDS);
+        // The eval timer and the per-example loss buffer, one per run.
+        let mut eval = self
+            .record_losses
+            .then(|| (recorder.counter(metric::EVAL_NS), vec![0f64; m]));
+        // The `f32` snapshot the latest epoch was scored on; it becomes the
+        // report's model when no epoch trains after it.
+        let mut evaluated: Option<Vec<f32>> = None;
         let publish_ns = self
             .on_snapshot
             .as_ref()
@@ -1094,6 +1116,7 @@ impl SgdConfig {
         let mut replays = 0u32;
         while epoch < self.epochs {
             let step = self.step_size * self.step_decay.powi(epoch as i32);
+            evaluated = None;
             let epoch_span = driver.begin();
             // Workers rendezvous here before touching data, and each takes
             // its own instants right after the release and right after its
@@ -1177,13 +1200,18 @@ impl SgdConfig {
                 });
                 publish_ns.add(publish_start.elapsed().as_nanos() as u64);
             }
-            let loss = if self.record_losses {
-                let l = data.mean_loss(self.loss, &backend.snapshot());
+            let loss = eval.as_mut().map(|(eval_ns, losses)| {
+                let eval_start = Instant::now();
+                let model = backend.snapshot();
+                score_in_chunks(self.threads, losses, |first, chunk| {
+                    data.losses(self.loss, &model, first, chunk);
+                });
+                let l = metrics::mean_in_order(losses);
+                eval_ns.add(eval_start.elapsed().as_nanos() as u64);
                 epoch_losses.push(l);
-                Some(l)
-            } else {
-                None
-            };
+                evaluated = Some(model);
+                l
+            });
             let mut stop = false;
             if let Some(observer) = &self.on_epoch {
                 let progress = TrainProgress {
@@ -1216,8 +1244,40 @@ impl SgdConfig {
                 .gauge(metric::GNPS)
                 .set(numbers as f64 / wall.max(1e-12) / 1e9);
         }
-        TrainReport::from_parts(backend.snapshot(), epoch_losses, recorder.snapshot())
+        let model = evaluated.unwrap_or_else(|| backend.snapshot());
+        TrainReport::from_parts(model, epoch_losses, recorder.snapshot())
     }
+}
+
+/// Fills `losses` on up to `threads` threads: the calling thread scores the
+/// first contiguous chunk and one scoped helper scores each other chunk,
+/// through `score(first_example, chunk)`. Contiguous chunks let each thread
+/// stream its own part of the dataset. At one thread nothing is spawned;
+/// with more threads than examples, fewer helpers are.
+///
+/// # Panics
+///
+/// Panics with `"eval worker panicked"` if a helper panicked, so a failed
+/// chunk never leaves a short sum; the scope joins the other helpers
+/// first.
+fn score_in_chunks<F>(threads: usize, losses: &mut [f64], score: F)
+where
+    F: Fn(usize, &mut [f64]) + Sync,
+{
+    let len = losses.len().div_ceil(threads);
+    let mut chunks = losses.chunks_mut(len);
+    let own = chunks.next().expect("training data has examples");
+    let score = &score;
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = chunks
+            .enumerate()
+            .map(|(k, chunk)| s.spawn(move || score((k + 1) * len, chunk)))
+            .collect();
+        score(0, own);
+        for helper in helpers {
+            helper.join().expect("eval worker panicked");
+        }
+    });
 }
 
 #[cfg(test)]
@@ -1495,6 +1555,18 @@ mod tests {
             .train(&p.data)
             .unwrap();
         assert!(report.epoch_losses().is_empty());
+        assert_eq!(report.metrics().counter(metric::EVAL_NS), None);
+        let scored = logistic_config().train(&p.data).unwrap();
+        assert!(scored.metrics().counter(metric::EVAL_NS).unwrap() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "eval worker panicked")]
+    fn panicking_eval_helper_panics_the_driver() {
+        let mut losses = vec![0.0; 8];
+        score_in_chunks(2, &mut losses, |first, _| {
+            assert_eq!(first, 0, "helper chunk fails");
+        });
     }
 
     #[test]
