@@ -226,10 +226,9 @@ pub struct SgdConfig {
     /// Base seed for dataset quantization and rounding randomness.
     pub seed: u64,
     /// Evaluate and record the training loss after each epoch. The loss
-    /// is scored on `threads` threads and summed in
-    /// example order, so it is bit-equal to [`crate::mean_loss`] of the
-    /// same model; its cost lands in `train.eval_ns`, not in the epoch
-    /// time.
+    /// is scored on `threads` threads and summed in example order, so it
+    /// is bit-equal to [`crate::mean_loss`] of the same model; its cost
+    /// lands in `train.eval_ns`, not in the epoch time.
     pub record_losses: bool,
     /// Faults injected into the run (`None` = none); set with
     /// [`SgdConfig::faults`].
