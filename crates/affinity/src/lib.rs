@@ -14,7 +14,9 @@
 //! engines always tolerate. Nothing may depend on pinning for
 //! correctness, only for measurement stability.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+// `unsafe` is denied crate-wide and allowed back on `pin_impl` alone,
+// whose one block issues the syscall.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Pins the calling thread to `core` (best effort).
@@ -31,6 +33,7 @@ pub fn pin_current_thread(core: usize) -> bool {
 }
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[allow(unsafe_code)]
 fn pin_impl(core: usize) -> bool {
     // cpu_set_t is a bitmask; 16 u64 words cover 1024 CPUs.
     let mut mask = [0u64; 16];

@@ -79,7 +79,7 @@ pub fn apply_delta_i8(acc: &mut [f32], q: &[i8], scale: f32) {
     assert_eq!(acc.len(), q.len(), "acc/q length mismatch");
     // The sweep is element-independent and takes the explicit SIMD path
     // when active.
-    if crate::simd::axpy_i8_f32(acc, q, scale) {
+    if crate::simd::axpy_i8_f32(acc, q, scale).is_some() {
         return;
     }
     for (a, &v) in acc.iter_mut().zip(q) {

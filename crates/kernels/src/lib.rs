@@ -47,9 +47,11 @@
 //! assert!((fast - slow).abs() < 1e-4);
 //! ```
 
-// `unsafe` is denied crate-wide and allowed back in exactly one module:
-// `simd`, whose `std::arch` intrinsics sit behind the runtime feature
-// probe in [`isa`]. Everything else stays safe Rust.
+// `unsafe` is denied crate-wide and allowed back only inside `simd`, in
+// two places: its memory helpers (one pointer intrinsic each, on an array
+// of exactly the bytes it moves) and its one dispatch call, which runs a
+// safe `#[target_feature]` kernel behind the runtime probe in [`isa`].
+// The kernels themselves, and everything else, stay safe Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -484,7 +484,7 @@ pub fn axpy_block_offsets<D: FixedInt, M: FixedInt>(w: &mut [M], x: &[D], k: i64
     if k.abs().saturating_mul(max_x) < (1i64 << 30) {
         let k32 = k as i32;
         let offs32 = offs.map(|o| o as i32);
-        if simd_axpy_offsets(w, x, k32, &offs32) {
+        if simd_axpy_offsets(w, x, k32, &offs32).is_some() {
             return;
         }
         let mut wc = w.chunks_exact_mut(8);
@@ -526,13 +526,13 @@ pub fn axpy_block_offsets<D: FixedInt, M: FixedInt>(w: &mut [M], x: &[D], k: i64
 }
 
 /// Type-dispatches the i32 AXPY fast path to the matching SIMD monomorph;
-/// `false` → the scalar chunked loop runs.
+/// `None` → the scalar chunked loop runs.
 fn simd_axpy_offsets<D: FixedInt, M: FixedInt>(
     w: &mut [M],
     x: &[D],
     k: i32,
     offs: &[i32; 8],
-) -> bool {
+) -> Option<()> {
     if let (Some(xs), Some(ws)) = (D::as_i8s(x), M::as_i8s_mut(w)) {
         simd::axpy_offsets_i8_i8(ws, xs, k, offs)
     } else if let (Some(xs), Some(ws)) = (D::as_i8s(x), M::as_i16s_mut(w)) {
@@ -542,7 +542,7 @@ fn simd_axpy_offsets<D: FixedInt, M: FixedInt>(
     } else if let (Some(xs), Some(ws)) = (D::as_i16s(x), M::as_i16s_mut(w)) {
         simd::axpy_offsets_i16_i16(ws, xs, k, offs)
     } else {
-        false
+        None
     }
 }
 
@@ -665,7 +665,7 @@ pub fn axpy_i16_i16(
 /// Panics if `x.len() != w.len()`.
 pub fn axpy_f32_f32(w: &mut [f32], a: f32, x: &[f32]) {
     assert_eq!(x.len(), w.len(), "length mismatch");
-    if simd::axpy_f32_f32(w, a, x) {
+    if simd::axpy_f32_f32(w, a, x).is_some() {
         return;
     }
     for (wi, &xi) in w.iter_mut().zip(x) {
@@ -682,7 +682,7 @@ pub fn axpy_fixed_f32<D: FixedInt>(w: &mut [f32], a: f32, x: &[D], x_spec: &Fixe
     assert_eq!(x.len(), w.len(), "length mismatch");
     let scale = a * x_spec.quantum();
     if let Some(xs) = D::as_i8s(x) {
-        if simd::axpy_i8_f32(w, xs, scale) {
+        if simd::axpy_i8_f32(w, xs, scale).is_some() {
             return;
         }
     }

@@ -1,8 +1,8 @@
 //! Explicit `std::arch` x86-64 kernels behind the [`crate::isa`] probe.
 //!
 //! Every function here is a *drop-in accelerator* for one scalar loop in
-//! [`crate::optimized`] or [`crate::delta`]: the safe wrappers return
-//! `None`/`false` when the active [`KernelIsa`] tier (or the target
+//! [`crate::optimized`] or [`crate::delta`]: the entry points return
+//! `None` when the active [`KernelIsa`] tier (or the target
 //! architecture) cannot run the vector path, and the caller falls back
 //! to its chunked-accumulator scalar code. The contract that
 //! makes this transparent is **bit identity**:
@@ -26,13 +26,19 @@
 //! single saturating case (both pair products = (−2^15)²) would break
 //! exactness; it widens through `vpmulld` into 64-bit accumulators
 //! instead.
-
-// The one module of this crate allowed `unsafe`: `std::arch` intrinsics
-// behind runtime feature detection. Every `unsafe` block's safety
-// argument is the same — the surrounding dispatch only selects a tier
-// that `isa::detected()` confirmed executable, and all pointer access
-// stays within caller-provided slices.
-#![allow(unsafe_code)]
+//!
+//! # Where the `unsafe` is
+//!
+//! Every AVX2 kernel is a *safe* `#[target_feature(enable = "avx2")]`
+//! function that walks its slices with `as_chunks` — whole vectors as
+//! fixed-size arrays, then a scalar tail — so no length that reaches it
+//! can move a load or a store outside a slice. The crate's
+//! `deny(unsafe_code)` is lifted in exactly two places:
+//!
+//! * `x86::mem`, one helper per pointer intrinsic, each moving exactly
+//!   the bytes of the array it borrows;
+//! * the one dispatch call in `avx2_entries!`, sound because
+//!   `isa::active() <= isa::detected()`.
 
 use crate::isa::{self, KernelIsa};
 
@@ -84,263 +90,257 @@ impl Reinterpret for i16 {
 
 impl Reinterpret for i32 {}
 
-/// `Some` when the active tier has vector paths at all (shared gate for
-/// the wrappers below).
-#[inline]
-fn vector_tier() -> Option<()> {
-    (isa::active() != KernelIsa::Scalar).then_some(())
-}
-
-/// Raw i8×i8 dot product total (pre-quantum). `None` → scalar fallback.
-#[inline]
-#[must_use]
-pub(crate) fn dot_i8_i8(x: &[i8], w: &[i8]) -> Option<i64> {
-    debug_assert_eq!(x.len(), w.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        vector_tier()?;
-        // SAFETY: any vector tier implies AVX2.
-        Some(unsafe { x86::dot_i8_i8_avx2(x, w) })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        None
-    }
-}
-
-/// Raw i16×i16 dot product total (pre-quantum). `None` → scalar fallback.
-#[inline]
-#[must_use]
-pub(crate) fn dot_i16_i16(x: &[i16], w: &[i16]) -> Option<i64> {
-    debug_assert_eq!(x.len(), w.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        vector_tier()?;
-        // SAFETY: any vector tier implies AVX2.
-        Some(unsafe { x86::dot_i16_i16_avx2(x, w) })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        None
-    }
-}
-
-/// Float dot with the optimized kernels' fixed 8-lane reduction order.
-#[inline]
-#[must_use]
-pub(crate) fn dot_f32_f32(x: &[f32], w: &[f32]) -> Option<f32> {
-    debug_assert_eq!(x.len(), w.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        vector_tier()?;
-        // SAFETY: any vector tier implies AVX2.
-        Some(unsafe { x86::dot_f32_f32_avx2(x, w) })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        None
-    }
-}
-
-macro_rules! mixed_dot_wrapper {
-    ($(#[$doc:meta])* $name:ident, $fixed:ty, $imp:ident, fixed_first) => {
+/// Declares the crate-facing entry points, one per line of the table
+/// below. Each returns `None` when the active tier is scalar (or the
+/// target is not x86-64), and the caller runs its scalar loop; otherwise
+/// it runs its body — a kernel from `x86` with the element loads it
+/// needs — as a `#[target_feature(enable = "avx2")]` function.
+macro_rules! avx2_entries {
+    ($($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),*) -> $ret:ty = $body:expr;)*) => {$(
         $(#[$doc])*
         #[inline]
         #[must_use]
-        pub(crate) fn $name(x: &[$fixed], w: &[f32]) -> Option<f32> {
-            debug_assert_eq!(x.len(), w.len());
+        pub(crate) fn $name($($arg: $ty),*) -> Option<$ret> {
             #[cfg(target_arch = "x86_64")]
-            {
-                vector_tier()?;
-                // SAFETY: any vector tier implies AVX2.
-                Some(unsafe { x86::$imp(x, w) })
+            if isa::active() != KernelIsa::Scalar {
+                #[target_feature(enable = "avx2")]
+                fn kernel($($arg: $ty),*) -> $ret {
+                    use x86::*;
+                    $body
+                }
+                // SAFETY: `isa::active() <= isa::detected()`, so a vector
+                // tier is one this CPU executes, and every vector tier
+                // includes AVX2.
+                #[allow(unsafe_code)]
+                let out = unsafe { kernel($($arg),*) };
+                return Some(out);
             }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                None
-            }
+            let _ = ($($arg,)*);
+            None
         }
-    };
-    ($(#[$doc:meta])* $name:ident, $fixed:ty, $imp:ident, float_first) => {
-        $(#[$doc])*
-        #[inline]
-        #[must_use]
-        pub(crate) fn $name(x: &[f32], w: &[$fixed]) -> Option<f32> {
-            debug_assert_eq!(x.len(), w.len());
-            #[cfg(target_arch = "x86_64")]
-            {
-                vector_tier()?;
-                // SAFETY: any vector tier implies AVX2.
-                Some(unsafe { x86::$imp(x, w) })
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                None
-            }
-        }
-    };
+    )*};
 }
 
-mixed_dot_wrapper!(
+avx2_entries! {
+    /// Raw i8×i8 dot product total (pre-quantum).
+    fn dot_i8_i8(x: &[i8], w: &[i8]) -> i64 = dot_epi8(x, w);
+    /// Raw i16×i16 dot product total (pre-quantum).
+    fn dot_i16_i16(x: &[i16], w: &[i16]) -> i64 = dot_epi16(x, w);
+    /// Float dot with the optimized kernels' fixed 8-lane reduction order.
+    fn dot_f32_f32(x: &[f32], w: &[f32]) -> f32 =
+        dot_ps(x, w, |v| loadu_ps(v), |v| loadu_ps(v));
     /// Raw i8-data × f32-model dot (pre-quantum).
-    dot_i8_f32, i8, dot_i8_f32_avx2, fixed_first
-);
-mixed_dot_wrapper!(
+    fn dot_i8_f32(x: &[i8], w: &[f32]) -> f32 = dot_ps(x, w, |v| i8_ps(v), |v| loadu_ps(v));
     /// Raw i16-data × f32-model dot (pre-quantum).
-    dot_i16_f32, i16, dot_i16_f32_avx2, fixed_first
-);
-mixed_dot_wrapper!(
+    fn dot_i16_f32(x: &[i16], w: &[f32]) -> f32 = dot_ps(x, w, |v| i16_ps(v), |v| loadu_ps(v));
     /// Raw f32-data × i8-model dot (pre-quantum).
-    dot_f32_i8, i8, dot_f32_i8_avx2, float_first
-);
-mixed_dot_wrapper!(
+    fn dot_f32_i8(x: &[f32], w: &[i8]) -> f32 = dot_ps(x, w, |v| loadu_ps(v), |v| i8_ps(v));
     /// Raw f32-data × i16-model dot (pre-quantum).
-    dot_f32_i16, i16, dot_f32_i16_avx2, float_first
-);
-
-macro_rules! batch4_wrapper {
-    ($(#[$doc:meta])* $name:ident, $model:ty, $imp:ident) => {
-        $(#[$doc])*
-        #[inline]
-        #[must_use]
-        pub(crate) fn $name(rows: [&[f32]; 4], w: &[$model]) -> Option<[f32; 4]> {
-            #[cfg(target_arch = "x86_64")]
-            {
-                vector_tier()?;
-                // SAFETY: any vector tier implies AVX2.
-                Some(unsafe { x86::$imp(rows, w) })
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                let _ = (rows, w);
-                None
-            }
-        }
-    };
-}
-
-batch4_wrapper!(
+    fn dot_f32_i16(x: &[f32], w: &[i16]) -> f32 = dot_ps(x, w, |v| loadu_ps(v), |v| i16_ps(v));
     /// Four-row batched raw totals (pre-quantum) against an i8 model —
     /// the register-blocked serving inner loop.
-    dot_batch4_f32_i8, i8, dot_batch4_f32_i8_avx2
-);
-batch4_wrapper!(
+    fn dot_batch4_f32_i8(rows: [&[f32]; 4], w: &[i8]) -> [f32; 4] =
+        dot4_ps(rows, w, |v| i8_ps(v));
     /// Four-row batched raw totals (pre-quantum) against an i16 model.
-    dot_batch4_f32_i16, i16, dot_batch4_f32_i16_avx2
-);
-batch4_wrapper!(
+    fn dot_batch4_f32_i16(rows: [&[f32]; 4], w: &[i16]) -> [f32; 4] =
+        dot4_ps(rows, w, |v| i16_ps(v));
     /// Four-row batched totals against an f32 model.
-    dot_batch4_f32_f32, f32, dot_batch4_f32_f32_avx2
-);
-
-macro_rules! axpy_offsets_wrapper {
-    ($(#[$doc:meta])* $name:ident, $data:ty, $model:ty, $imp:ident) => {
-        $(#[$doc])*
-        #[inline]
-        #[must_use]
-        pub(crate) fn $name(w: &mut [$model], x: &[$data], k: i32, offs: &[i32; 8]) -> bool {
-            debug_assert_eq!(x.len(), w.len());
-            #[cfg(target_arch = "x86_64")]
-            {
-                if vector_tier().is_none() {
-                    return false;
-                }
-                // SAFETY: any vector tier implies AVX2.
-                unsafe { x86::$imp(w, x, k, offs) };
-                true
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                let _ = (w, x, k, offs);
-                false
-            }
-        }
-    };
-}
-
-axpy_offsets_wrapper!(
+    fn dot_batch4_f32_f32(rows: [&[f32]; 4], w: &[f32]) -> [f32; 4] =
+        dot4_ps(rows, w, |v| loadu_ps(v));
     /// Integer AXPY i32 fast path, D8M8 (see `optimized::axpy_block_offsets`).
-    axpy_offsets_i8_i8, i8, i8, axpy_offsets_i8_i8_avx2
-);
-axpy_offsets_wrapper!(
+    fn axpy_offsets_i8_i8(w: &mut [i8], x: &[i8], k: i32, offs: &[i32; 8]) -> () =
+        axpy_epi32(w, x, k, offs, |v| i8_epi32(v), |v| i8_epi32(v), |o, v| epi32_i8(o, v));
     /// Integer AXPY i32 fast path, D8M16.
-    axpy_offsets_i8_i16, i8, i16, axpy_offsets_i8_i16_avx2
-);
-axpy_offsets_wrapper!(
+    fn axpy_offsets_i8_i16(w: &mut [i16], x: &[i8], k: i32, offs: &[i32; 8]) -> () =
+        axpy_epi32(w, x, k, offs, |v| i8_epi32(v), |v| i16_epi32(v), |o, v| epi32_i16(o, v));
     /// Integer AXPY i32 fast path, D16M8.
-    axpy_offsets_i16_i8, i16, i8, axpy_offsets_i16_i8_avx2
-);
-axpy_offsets_wrapper!(
+    fn axpy_offsets_i16_i8(w: &mut [i8], x: &[i16], k: i32, offs: &[i32; 8]) -> () =
+        axpy_epi32(w, x, k, offs, |v| i16_epi32(v), |v| i8_epi32(v), |o, v| epi32_i8(o, v));
     /// Integer AXPY i32 fast path, D16M16.
-    axpy_offsets_i16_i16, i16, i16, axpy_offsets_i16_i16_avx2
-);
-
-/// Float AXPY `w[i] += a·x[i]` (element-independent, trivially
-/// bit-identical per lane). Returns `false` → scalar fallback.
-#[inline]
-#[must_use]
-pub(crate) fn axpy_f32_f32(w: &mut [f32], a: f32, x: &[f32]) -> bool {
-    debug_assert_eq!(x.len(), w.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if vector_tier().is_none() {
-            return false;
-        }
-        // SAFETY: any vector tier implies AVX2.
-        unsafe { x86::axpy_f32_f32_avx2(w, a, x) };
-        true
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (w, x, a);
-        false
-    }
-}
-
-/// Fused `acc[i] += scale · q[i]` for `i8` payloads — the delta-apply
-/// sweep of the sharded backend and the fixed-data/float-model AXPY.
-#[inline]
-#[must_use]
-pub(crate) fn axpy_i8_f32(acc: &mut [f32], q: &[i8], scale: f32) -> bool {
-    debug_assert_eq!(acc.len(), q.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if vector_tier().is_none() {
-            return false;
-        }
-        // SAFETY: any vector tier implies AVX2.
-        unsafe { x86::axpy_i8_f32_avx2(acc, q, scale) };
-        true
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (acc, q, scale);
-        false
-    }
+    fn axpy_offsets_i16_i16(w: &mut [i16], x: &[i16], k: i32, offs: &[i32; 8]) -> () =
+        axpy_epi32(w, x, k, offs, |v| i16_epi32(v), |v| i16_epi32(v), |o, v| epi32_i16(o, v));
+    /// Float AXPY `w[i] += a·x[i]` (element-independent, trivially
+    /// bit-identical per lane).
+    fn axpy_f32_f32(w: &mut [f32], a: f32, x: &[f32]) -> () = axpy_ps(w, a, x, |v| loadu_ps(v));
+    /// Fused `acc[i] += scale · q[i]` for `i8` payloads — the delta-apply
+    /// sweep of the sharded backend and the fixed-data/float-model AXPY.
+    fn axpy_i8_f32(acc: &mut [f32], q: &[i8], scale: f32) -> () =
+        axpy_ps(acc, scale, q, |v| i8_ps(v));
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The `#[target_feature]` implementations. Callers guarantee the
-    //! named features are present (checked via `crate::isa`); all loads
-    //! and stores stay inside the caller's slices.
+    //! The AVX2 kernels. Each walks its operands as whole 8-, 16- or
+    //! 32-element arrays plus a scalar tail; element loads and stores are
+    //! passed in as closures, which inherit the kernel's target features.
 
     use core::arch::x86_64::*;
 
+    pub use self::mem::loadu_ps;
+    use self::mem::{
+        loadl_epi64, loadu_si128, loadu_si256, storel_epi64, storeu_ps, storeu_si128, storeu_si256,
+    };
+    use crate::optimized::FixedInt;
+
+    #[allow(unsafe_code)]
+    mod mem {
+        //! The module's memory traffic: one helper per pointer intrinsic,
+        //! each reading or writing exactly the bytes of the array it
+        //! borrows. `loadu`/`storeu`/`loadl`/`storel` need no alignment.
+
+        use core::arch::x86_64::*;
+
+        /// Plain integers: every bit pattern is a valid value, so raw
+        /// vector bytes may be read from and written to them.
+        pub trait Int: Copy {}
+        impl Int for i8 {}
+        impl Int for i16 {}
+        impl Int for i32 {}
+        impl Int for i64 {}
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn loadu_ps(v: &[f32; 8]) -> __m256 {
+            // SAFETY: `v` is 32 readable bytes.
+            unsafe { _mm256_loadu_ps(v.as_ptr()) }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn storeu_ps(out: &mut [f32; 8], v: __m256) {
+            // SAFETY: `out` is 32 writable bytes.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr(), v) }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn loadu_si256<T: Int, const N: usize>(v: &[T; N]) -> __m256i {
+            const { assert!(size_of::<[T; N]>() == 32) };
+            // SAFETY: `v` is 32 readable bytes (asserted above).
+            unsafe { _mm256_loadu_si256(v.as_ptr().cast()) }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn storeu_si256<T: Int, const N: usize>(out: &mut [T; N], v: __m256i) {
+            const { assert!(size_of::<[T; N]>() == 32) };
+            // SAFETY: `out` is 32 writable bytes (asserted above) of `Int`s.
+            unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), v) }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn loadu_si128(v: &[i16; 8]) -> __m128i {
+            // SAFETY: `v` is 16 readable bytes.
+            unsafe { _mm_loadu_si128(v.as_ptr().cast()) }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn storeu_si128(out: &mut [i16; 8], v: __m128i) {
+            // SAFETY: `out` is 16 writable bytes.
+            unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), v) }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn loadl_epi64(v: &[i8; 8]) -> __m128i {
+            // SAFETY: `v` is the 8 readable bytes `loadl` reads.
+            unsafe { _mm_loadl_epi64(v.as_ptr().cast()) }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn storel_epi64(out: &mut [i8; 8], v: __m128i) {
+            // SAFETY: `out` is the 8 writable bytes `storel` writes.
+            unsafe { _mm_storel_epi64(out.as_mut_ptr().cast(), v) }
+        }
+    }
+
     /// Horizontal i64 sum of 8 packed i32 lanes.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn hsum_epi32_i64(v: __m256i) -> i64 {
+    fn hsum_epi32_i64(v: __m256i) -> i64 {
         let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v);
+        storeu_si256(&mut lanes, v);
         lanes.iter().map(|&l| i64::from(l)).sum()
     }
 
     /// Horizontal i64 sum of 4 packed i64 lanes.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn hsum_epi64(v: __m256i) -> i64 {
+    fn hsum_epi64(v: __m256i) -> i64 {
         let mut lanes = [0i64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v);
+        storeu_si256(&mut lanes, v);
         lanes.iter().sum()
+    }
+
+    /// The 8 f32 lanes summed left to right — the scalar kernels' order.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn hsum_ps(v: __m256) -> f32 {
+        let mut lanes = [0f32; 8];
+        storeu_ps(&mut lanes, v);
+        lanes.iter().sum()
+    }
+
+    /// Exact integer dot of a scalar tail.
+    fn dot_tail<T: Copy>(x: &[T], w: &[T]) -> i64
+    where
+        i64: From<T>,
+    {
+        x.iter()
+            .zip(w)
+            .map(|(&a, &b)| i64::from(a) * i64::from(b))
+            .sum()
+    }
+
+    /// Loads 8 `i8` sign-extended to i32 lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn i8_epi32(v: &[i8; 8]) -> __m256i {
+        _mm256_cvtepi8_epi32(loadl_epi64(v))
+    }
+
+    /// Loads 8 `i16` sign-extended to i32 lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn i16_epi32(v: &[i16; 8]) -> __m256i {
+        _mm256_cvtepi16_epi32(loadu_si128(v))
+    }
+
+    /// Loads 8 `i8` as an 8-lane f32 vector (exact int→float convert).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn i8_ps(v: &[i8; 8]) -> __m256 {
+        _mm256_cvtepi32_ps(i8_epi32(v))
+    }
+
+    /// Loads 8 `i16` as an 8-lane f32 vector (exact int→float convert).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn i16_ps(v: &[i16; 8]) -> __m256 {
+        _mm256_cvtepi32_ps(i16_epi32(v))
+    }
+
+    /// Stores 8 i32 lanes to `i8` with signed saturation — exactly the
+    /// scalar `saturate_i32` clamp to `[-128, 127]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn epi32_i8(out: &mut [i8; 8], v: __m256i) {
+        let lo = _mm256_castsi256_si128(v);
+        let hi = _mm256_extracti128_si256::<1>(v);
+        let w16 = _mm_packs_epi32(lo, hi);
+        storel_epi64(out, _mm_packs_epi16(w16, w16));
+    }
+
+    /// Stores 8 i32 lanes to `i16` with signed saturation.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub fn epi32_i16(out: &mut [i16; 8], v: __m256i) {
+        let lo = _mm256_castsi256_si128(v);
+        let hi = _mm256_extracti128_si256::<1>(v);
+        storeu_si128(out, _mm_packs_epi32(lo, hi));
     }
 
     /// The §5.1 hand-vectorized D8M8 dot: sign-extend bytes to words,
@@ -351,359 +351,161 @@ mod x86 {
     const I8_FLUSH: usize = 1 << 13;
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8_i8_avx2(x: &[i8], w: &[i8]) -> i64 {
-        const STEP: usize = 32;
-        let n = x.len();
-        let blocks = n / STEP;
+    pub fn dot_epi8(x: &[i8], w: &[i8]) -> i64 {
+        let (xb, xt) = x.as_chunks::<32>();
+        let (wb, wt) = w.as_chunks::<32>();
         let mut total = 0i64;
-        let mut i = 0usize;
-        let mut done = 0usize;
-        while done < blocks {
-            let batch = (blocks - done).min(I8_FLUSH);
+        for (xs, ws) in xb.chunks(I8_FLUSH).zip(wb.chunks(I8_FLUSH)) {
             let mut acc = _mm256_setzero_si256();
-            for _ in 0..batch {
-                let xv = _mm256_loadu_si256(x.as_ptr().add(i).cast());
-                let wv = _mm256_loadu_si256(w.as_ptr().add(i).cast());
+            for (xv, wv) in xs.iter().zip(ws) {
+                let (xv, wv) = (loadu_si256(xv), loadu_si256(wv));
                 let xlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(xv));
                 let wlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wv));
-                let xhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(xv, 1));
-                let whi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wv, 1));
+                let xhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(xv));
+                let whi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(wv));
                 acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xlo, wlo));
                 acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xhi, whi));
-                i += STEP;
             }
-            done += batch;
             total += hsum_epi32_i64(acc);
         }
-        while i < n {
-            total += i64::from(x[i]) * i64::from(w[i]);
-            i += 1;
-        }
-        total
+        total + dot_tail(xt, wt)
     }
 
     /// Exact i16 dot: widen to i32, `vpmulld` (products ≤ 2^30, exact),
     /// accumulate in i64 lanes. Never `vpmaddwd` — its lone saturating
     /// case (two (−2^15)² pair products) would silently clip.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i16_i16_avx2(x: &[i16], w: &[i16]) -> i64 {
-        const STEP: usize = 16;
-        let n = x.len();
+    pub fn dot_epi16(x: &[i16], w: &[i16]) -> i64 {
+        let (xb, xt) = x.as_chunks::<16>();
+        let (wb, wt) = w.as_chunks::<16>();
         let mut acc0 = _mm256_setzero_si256();
         let mut acc1 = _mm256_setzero_si256();
-        let mut i = 0usize;
-        while i + STEP <= n {
-            let xv = _mm256_loadu_si256(x.as_ptr().add(i).cast());
-            let wv = _mm256_loadu_si256(w.as_ptr().add(i).cast());
+        for (xv, wv) in xb.iter().zip(wb) {
+            let (xv, wv) = (loadu_si256(xv), loadu_si256(wv));
             let xlo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(xv));
             let wlo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(wv));
-            let xhi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(xv, 1));
-            let whi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256(wv, 1));
+            let xhi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256::<1>(xv));
+            let whi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256::<1>(wv));
             let plo = _mm256_mullo_epi32(xlo, wlo);
             let phi = _mm256_mullo_epi32(xhi, whi);
             acc0 = _mm256_add_epi64(acc0, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(plo)));
             acc1 = _mm256_add_epi64(
                 acc1,
-                _mm256_cvtepi32_epi64(_mm256_extracti128_si256(plo, 1)),
+                _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(plo)),
             );
             acc0 = _mm256_add_epi64(acc0, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(phi)));
             acc1 = _mm256_add_epi64(
                 acc1,
-                _mm256_cvtepi32_epi64(_mm256_extracti128_si256(phi, 1)),
+                _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(phi)),
             );
-            i += STEP;
         }
-        let mut total = hsum_epi64(_mm256_add_epi64(acc0, acc1));
-        while i < n {
-            total += i64::from(x[i]) * i64::from(w[i]);
-            i += 1;
-        }
-        total
+        hsum_epi64(_mm256_add_epi64(acc0, acc1)) + dot_tail(xt, wt)
     }
 
     /// Float dot with the scalar kernels' exact reduction: one 8-lane
     /// accumulator updated with separate `vmulps` + `vaddps` (no FMA),
-    /// lanes summed left-to-right, sequential scalar tail.
+    /// lanes summed left-to-right, sequential scalar tail. `lx` and `lw`
+    /// load 8 elements of each operand as f32 lanes.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_f32_f32_avx2(x: &[f32], w: &[f32]) -> f32 {
-        let n = x.len();
+    pub fn dot_ps<X: Copy, W: Copy>(
+        x: &[X],
+        w: &[W],
+        lx: impl Fn(&[X; 8]) -> __m256,
+        lw: impl Fn(&[W; 8]) -> __m256,
+    ) -> f32
+    where
+        f32: From<X> + From<W>,
+    {
+        let (xb, xt) = x.as_chunks::<8>();
+        let (wb, wt) = w.as_chunks::<8>();
         let mut acc = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-            let wv = _mm256_loadu_ps(w.as_ptr().add(i));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(xv, wv));
-            i += 8;
+        for (xv, wv) in xb.iter().zip(wb) {
+            acc = _mm256_add_ps(acc, _mm256_mul_ps(lx(xv), lw(wv)));
         }
-        let mut lanes = [0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        let mut total: f32 = lanes.iter().sum();
-        while i < n {
-            total += x[i] * w[i];
-            i += 1;
+        let mut total = hsum_ps(acc);
+        for (&a, &b) in xt.iter().zip(wt) {
+            total += f32::from(a) * f32::from(b);
         }
         total
     }
 
-    /// Loads 8 `i8` as an 8-lane f32 vector (exact int→float convert).
+    /// [`dot_ps`] of four rows against one model: each model block is
+    /// loaded once for all four accumulators.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is shorter than `w`.
     #[target_feature(enable = "avx2")]
-    unsafe fn load8_i8_ps(p: *const i8) -> __m256 {
-        _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_loadl_epi64(p.cast())))
-    }
-
-    /// Loads 8 `i16` as an 8-lane f32 vector (exact int→float convert).
-    #[target_feature(enable = "avx2")]
-    unsafe fn load8_i16_ps(p: *const i16) -> __m256 {
-        _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm_loadu_si128(p.cast())))
-    }
-
-    macro_rules! mixed_dot_impl {
-        ($name:ident, $fixed:ty, $load:ident, fixed_first) => {
-            #[target_feature(enable = "avx2")]
-            pub unsafe fn $name(x: &[$fixed], w: &[f32]) -> f32 {
-                let n = x.len();
-                let mut acc = _mm256_setzero_ps();
-                let mut i = 0usize;
-                while i + 8 <= n {
-                    let xv = $load(x.as_ptr().add(i));
-                    let wv = _mm256_loadu_ps(w.as_ptr().add(i));
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(xv, wv));
-                    i += 8;
-                }
-                let mut lanes = [0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-                let mut total: f32 = lanes.iter().sum();
-                while i < n {
-                    total += x[i] as f32 * w[i];
-                    i += 1;
-                }
-                total
+    pub fn dot4_ps<W: Copy>(rows: [&[f32]; 4], w: &[W], lw: impl Fn(&[W; 8]) -> __m256) -> [f32; 4]
+    where
+        f32: From<W>,
+    {
+        let (wb, wt) = w.as_chunks::<8>();
+        let [r0, r1, r2, r3] = rows.map(|r| r[..w.len()].as_chunks::<8>());
+        let mut acc = [_mm256_setzero_ps(); 4];
+        for ((((wv, x0), x1), x2), x3) in wb.iter().zip(r0.0).zip(r1.0).zip(r2.0).zip(r3.0) {
+            let wv = lw(wv);
+            for (a, xv) in acc.iter_mut().zip([x0, x1, x2, x3]) {
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(loadu_ps(xv), wv));
             }
-        };
-        ($name:ident, $fixed:ty, $load:ident, float_first) => {
-            #[target_feature(enable = "avx2")]
-            pub unsafe fn $name(x: &[f32], w: &[$fixed]) -> f32 {
-                let n = x.len();
-                let mut acc = _mm256_setzero_ps();
-                let mut i = 0usize;
-                while i + 8 <= n {
-                    let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-                    let wv = $load(w.as_ptr().add(i));
-                    acc = _mm256_add_ps(acc, _mm256_mul_ps(xv, wv));
-                    i += 8;
-                }
-                let mut lanes = [0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-                let mut total: f32 = lanes.iter().sum();
-                while i < n {
-                    total += x[i] * w[i] as f32;
-                    i += 1;
-                }
-                total
+        }
+        let mut totals = acc.map(|a| hsum_ps(a));
+        for (i, &wj) in wt.iter().enumerate() {
+            let wj = f32::from(wj);
+            for (t, xt) in totals.iter_mut().zip([r0.1, r1.1, r2.1, r3.1]) {
+                *t += xt[i] * wj;
             }
-        };
+        }
+        totals
     }
 
-    mixed_dot_impl!(dot_i8_f32_avx2, i8, load8_i8_ps, fixed_first);
-    mixed_dot_impl!(dot_i16_f32_avx2, i16, load8_i16_ps, fixed_first);
-    mixed_dot_impl!(dot_f32_i8_avx2, i8, load8_i8_ps, float_first);
-    mixed_dot_impl!(dot_f32_i16_avx2, i16, load8_i16_ps, float_first);
-
-    macro_rules! batch4_impl {
-        ($name:ident, $model:ty, $wj:expr, $load:expr) => {
-            #[target_feature(enable = "avx2")]
-            pub unsafe fn $name(rows: [&[f32]; 4], w: &[$model]) -> [f32; 4] {
-                let n = w.len();
-                let mut acc = [
-                    _mm256_setzero_ps(),
-                    _mm256_setzero_ps(),
-                    _mm256_setzero_ps(),
-                    _mm256_setzero_ps(),
-                ];
-                let mut i = 0usize;
-                while i + 8 <= n {
-                    let wv = $load(w.as_ptr().add(i));
-                    for (r, a) in acc.iter_mut().enumerate() {
-                        let xv = _mm256_loadu_ps(rows[r].as_ptr().add(i));
-                        *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, wv));
-                    }
-                    i += 8;
-                }
-                let mut totals = [0f32; 4];
-                for (r, a) in acc.iter().enumerate() {
-                    let mut lanes = [0f32; 8];
-                    _mm256_storeu_ps(lanes.as_mut_ptr(), *a);
-                    totals[r] = lanes.iter().sum();
-                }
-                while i < n {
-                    let wj = $wj(w[i]);
-                    for (r, t) in totals.iter_mut().enumerate() {
-                        *t += rows[r][i] * wj;
-                    }
-                    i += 1;
-                }
-                totals
-            }
-        };
-    }
-
-    batch4_impl!(dot_batch4_f32_i8_avx2, i8, |v: i8| v as f32, |p| {
-        load8_i8_ps(p)
-    });
-    batch4_impl!(dot_batch4_f32_i16_avx2, i16, |v: i16| v as f32, |p| {
-        load8_i16_ps(p)
-    });
-    batch4_impl!(dot_batch4_f32_f32_avx2, f32, |v: f32| v, |p| {
-        _mm256_loadu_ps(p)
-    });
-
-    /// Loads 8 `i8` sign-extended to i32 lanes.
+    /// The branch-free integer AXPY fast path:
+    /// `w[i] ← sat(w[i] + ((x[i]·k + offs[i & 7]) >> 15))`, the caller
+    /// having guaranteed `|x·k| + 2^15 < 2^30`. `lx` and `lw` widen 8
+    /// elements to i32 lanes; `sw` narrows them back with saturation.
     #[target_feature(enable = "avx2")]
-    unsafe fn load8_i8_epi32(p: *const i8) -> __m256i {
-        _mm256_cvtepi8_epi32(_mm_loadl_epi64(p.cast()))
+    pub fn axpy_epi32<X: FixedInt, M: FixedInt>(
+        w: &mut [M],
+        x: &[X],
+        k: i32,
+        offs: &[i32; 8],
+        lx: impl Fn(&[X; 8]) -> __m256i,
+        lw: impl Fn(&[M; 8]) -> __m256i,
+        sw: impl Fn(&mut [M; 8], __m256i),
+    ) {
+        const K_SHIFT: i32 = 15;
+        let kv = _mm256_set1_epi32(k);
+        let ov = loadu_si256(offs);
+        let (wb, wt) = w.as_chunks_mut::<8>();
+        let (xb, xt) = x.as_chunks::<8>();
+        for (wv, xv) in wb.iter_mut().zip(xb) {
+            let delta =
+                _mm256_srai_epi32::<K_SHIFT>(_mm256_add_epi32(_mm256_mullo_epi32(lx(xv), kv), ov));
+            let sum = _mm256_add_epi32(lw(wv), delta);
+            sw(wv, sum);
+        }
+        for ((wi, xi), off) in wt.iter_mut().zip(xt).zip(offs) {
+            let delta = (xi.widen() * k + off) >> K_SHIFT;
+            *wi = M::saturate_i32(wi.widen() + delta);
+        }
     }
 
-    /// Loads 8 `i16` sign-extended to i32 lanes.
+    /// `w[i] += a·x[i]`, separate mul + add per lane (no FMA); `lx` loads
+    /// 8 elements of `x` as f32 lanes.
     #[target_feature(enable = "avx2")]
-    unsafe fn load8_i16_epi32(p: *const i16) -> __m256i {
-        _mm256_cvtepi16_epi32(_mm_loadu_si128(p.cast()))
-    }
-
-    /// Stores 8 i32 lanes to `i8` with signed saturation — exactly the
-    /// scalar `saturate_i32` clamp to `[-128, 127]`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn store8_epi32_i8(p: *mut i8, v: __m256i) {
-        let lo = _mm256_castsi256_si128(v);
-        let hi = _mm256_extracti128_si256(v, 1);
-        let w16 = _mm_packs_epi32(lo, hi);
-        let w8 = _mm_packs_epi16(w16, w16);
-        _mm_storel_epi64(p.cast(), w8);
-    }
-
-    /// Stores 8 i32 lanes to `i16` with signed saturation.
-    #[target_feature(enable = "avx2")]
-    unsafe fn store8_epi32_i16(p: *mut i16, v: __m256i) {
-        let lo = _mm256_castsi256_si128(v);
-        let hi = _mm256_extracti128_si256(v, 1);
-        _mm_storeu_si128(p.cast(), _mm_packs_epi32(lo, hi));
-    }
-
-    macro_rules! axpy_offsets_impl {
-        ($name:ident, $data:ty, $model:ty, $loadx:ident, $loadw:ident, $storew:ident,
-         $mmin:expr, $mmax:expr) => {
-            /// The branch-free integer AXPY fast path:
-            /// `w[i] ← sat_i32(w[i] + ((x[i]·k + offs[i&7]) >> 15))`,
-            /// the caller having guaranteed `|x·k| + 2^15 < 2^30`.
-            #[target_feature(enable = "avx2")]
-            pub unsafe fn $name(w: &mut [$model], x: &[$data], k: i32, offs: &[i32; 8]) {
-                const K_SHIFT: i32 = 15;
-                let n = w.len();
-                let kv = _mm256_set1_epi32(k);
-                let ov = _mm256_loadu_si256(offs.as_ptr().cast());
-                let mut i = 0usize;
-                while i + 8 <= n {
-                    let xv = $loadx(x.as_ptr().add(i));
-                    let delta = _mm256_srai_epi32::<K_SHIFT>(_mm256_add_epi32(
-                        _mm256_mullo_epi32(xv, kv),
-                        ov,
-                    ));
-                    let wv = $loadw(w.as_ptr().add(i));
-                    $storew(w.as_mut_ptr().add(i), _mm256_add_epi32(wv, delta));
-                    i += 8;
-                }
-                let mut j = 0usize;
-                while i < n {
-                    let delta = (i32::from(x[i]) * k + offs[j & 7]) >> K_SHIFT;
-                    let v = i32::from(w[i]) + delta;
-                    w[i] = v.clamp($mmin, $mmax) as $model;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        };
-    }
-
-    axpy_offsets_impl!(
-        axpy_offsets_i8_i8_avx2,
-        i8,
-        i8,
-        load8_i8_epi32,
-        load8_i8_epi32,
-        store8_epi32_i8,
-        i32::from(i8::MIN),
-        i32::from(i8::MAX)
-    );
-    axpy_offsets_impl!(
-        axpy_offsets_i8_i16_avx2,
-        i8,
-        i16,
-        load8_i8_epi32,
-        load8_i16_epi32,
-        store8_epi32_i16,
-        i32::from(i16::MIN),
-        i32::from(i16::MAX)
-    );
-    axpy_offsets_impl!(
-        axpy_offsets_i16_i8_avx2,
-        i16,
-        i8,
-        load8_i16_epi32,
-        load8_i8_epi32,
-        store8_epi32_i8,
-        i32::from(i8::MIN),
-        i32::from(i8::MAX)
-    );
-    axpy_offsets_impl!(
-        axpy_offsets_i16_i16_avx2,
-        i16,
-        i16,
-        load8_i16_epi32,
-        load8_i16_epi32,
-        store8_epi32_i16,
-        i32::from(i16::MIN),
-        i32::from(i16::MAX)
-    );
-
-    /// `w[i] += a·x[i]`, separate mul + add per lane (no FMA).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_f32_f32_avx2(w: &mut [f32], a: f32, x: &[f32]) {
-        let n = w.len();
+    pub fn axpy_ps<X: Copy>(w: &mut [f32], a: f32, x: &[X], lx: impl Fn(&[X; 8]) -> __m256)
+    where
+        f32: From<X>,
+    {
         let av = _mm256_set1_ps(a);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let wv = _mm256_loadu_ps(w.as_ptr().add(i));
-            let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-            _mm256_storeu_ps(
-                w.as_mut_ptr().add(i),
-                _mm256_add_ps(wv, _mm256_mul_ps(av, xv)),
-            );
-            i += 8;
+        let (wb, wt) = w.as_chunks_mut::<8>();
+        let (xb, xt) = x.as_chunks::<8>();
+        for (wv, xv) in wb.iter_mut().zip(xb) {
+            let sum = _mm256_add_ps(loadu_ps(wv), _mm256_mul_ps(av, lx(xv)));
+            storeu_ps(wv, sum);
         }
-        while i < n {
-            w[i] += a * x[i];
-            i += 1;
-        }
-    }
-
-    /// `acc[i] += scale·q[i]` for i8 payloads (delta apply / fixed-data
-    /// float-model AXPY), separate mul + add per lane.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_i8_f32_avx2(acc: &mut [f32], q: &[i8], scale: f32) {
-        let n = acc.len();
-        let sv = _mm256_set1_ps(scale);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let qv = load8_i8_ps(q.as_ptr().add(i));
-            let av = _mm256_loadu_ps(acc.as_ptr().add(i));
-            _mm256_storeu_ps(
-                acc.as_mut_ptr().add(i),
-                _mm256_add_ps(av, _mm256_mul_ps(sv, qv)),
-            );
-            i += 8;
-        }
-        while i < n {
-            acc[i] += scale * f32::from(q[i]);
-            i += 1;
+        for (wi, &xi) in wt.iter_mut().zip(xt) {
+            *wi += a * f32::from(xi);
         }
     }
 }
@@ -770,6 +572,6 @@ mod tests {
         let _g = isa::scoped(KernelIsa::Scalar);
         assert_eq!(dot_i8_i8(&[1], &[1]), None);
         assert_eq!(dot_f32_f32(&[1.0], &[1.0]), None);
-        assert!(!axpy_f32_f32(&mut [1.0], 1.0, &[1.0]));
+        assert_eq!(axpy_f32_f32(&mut [1.0], 1.0, &[1.0]), None);
     }
 }
