@@ -6,8 +6,14 @@
 //! parallelism for a single-OS-thread simulator with round-robin virtual
 //! workers and a global scheduler clock, making the *entire* training
 //! trajectory — every interleaving, every delayed write, every recovery —
-//! a pure function of the seeds. Same seed ⇒ identical [`ChaosReport`],
+//! a pure function of the seeds. Same seed ⇒ identical [`TrainReport`],
 //! including the telemetry snapshot.
+//!
+//! The simulator is a scheduler, not a second SGD: every model read and
+//! write it makes is the threaded engine's own dot or AXPY, run on a
+//! plain-word model, and its step schedule and validation are
+//! [`SgdConfig`]'s. With one virtual worker and a benign plan it
+//! reproduces [`SgdConfig::train`] at one thread bit for bit.
 //!
 //! Virtual time also unlocks the plan knobs real threads cannot express:
 //! write *delays* measured in scheduler ticks (a store-buffer analogue)
@@ -19,11 +25,11 @@
 use buckwild_chaos::metric as chaos_metric;
 use buckwild_chaos::{FaultPlan, IterFate, WorkerRun, WriteFate};
 use buckwild_dataset::DenseDataset;
-use buckwild_telemetry::{Counter, Histogram, MetricsSnapshot, Recorder, ShardedRecorder};
+use buckwild_telemetry::{Counter, Histogram, Recorder, ShardedRecorder};
 use buckwild_trace::{fault_kind, NoopTracer, Phase, Tracer, WorkerTracer};
 
-use crate::train::metric;
-use crate::{metrics, ConfigError, Loss, TrainError};
+use crate::train::{metric, Examples, QuantState};
+use crate::{metrics, Loss, SgdConfig, TrainError, TrainReport};
 
 /// Model elements per emulated 64-byte cache line of `f32` values (the
 /// granularity of obstinate-cache view refreshes).
@@ -33,6 +39,8 @@ pub const LINE_ELEMS: usize = 16;
 ///
 /// Trains at full precision (`D32fM32f`) on a dense dataset, with
 /// `threads` *virtual* workers advanced round-robin by a scheduler clock.
+/// The run's values are an [`SgdConfig`] carrying the fault plan, so the
+/// simulator accepts and rejects exactly what the threaded engine does.
 ///
 /// # Example
 ///
@@ -51,12 +59,7 @@ pub const LINE_ELEMS: usize = 16;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosSgdConfig {
-    loss: Loss,
-    plan: FaultPlan,
-    threads: usize,
-    step_size: f32,
-    step_decay: f32,
-    epochs: usize,
+    sgd: SgdConfig,
 }
 
 impl ChaosSgdConfig {
@@ -64,65 +67,41 @@ impl ChaosSgdConfig {
     /// 0.9 over 8 epochs.
     #[must_use]
     pub fn new(loss: Loss, plan: FaultPlan) -> Self {
-        ChaosSgdConfig {
-            loss,
-            plan,
-            threads: 2,
-            step_size: 0.3,
-            step_decay: 0.9,
-            epochs: 8,
-        }
+        let sgd = SgdConfig::new(loss)
+            .threads(2)
+            .step_size(0.3)
+            .step_decay(0.9)
+            .epochs(8)
+            .faults(plan);
+        ChaosSgdConfig { sgd }
     }
 
     /// Sets the virtual worker count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.sgd.threads = threads;
         self
     }
 
     /// Sets the initial step size.
     #[must_use]
     pub fn step_size(mut self, step_size: f32) -> Self {
-        self.step_size = step_size;
+        self.sgd.step_size = step_size;
         self
     }
 
     /// Sets the per-epoch step decay factor.
     #[must_use]
     pub fn step_decay(mut self, step_decay: f32) -> Self {
-        self.step_decay = step_decay;
+        self.sgd.step_decay = step_decay;
         self
     }
 
     /// Sets the number of passes over the data.
     #[must_use]
     pub fn epochs(mut self, epochs: usize) -> Self {
-        self.epochs = epochs;
+        self.sgd.epochs = epochs;
         self
-    }
-
-    /// The fault plan this engine executes.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    fn validate(&self) -> Result<(), TrainError> {
-        self.plan.validate()?;
-        if self.threads == 0 {
-            return Err(ConfigError::InvalidParameter("threads (must be >= 1)").into());
-        }
-        if self.epochs == 0 {
-            return Err(ConfigError::InvalidParameter("epochs (must be >= 1)").into());
-        }
-        if !(self.step_size.is_finite() && self.step_size > 0.0) {
-            return Err(ConfigError::InvalidParameter("step_size (must be positive)").into());
-        }
-        if !(self.step_decay.is_finite() && self.step_decay > 0.0) {
-            return Err(ConfigError::InvalidParameter("step_decay (must be positive)").into());
-        }
-        Ok(())
     }
 
     /// Runs the deterministic engine, collecting telemetry with a sharded
@@ -133,16 +112,18 @@ impl ChaosSgdConfig {
     /// [`TrainError::Plan`] for invalid plans, [`TrainError::Config`] for
     /// invalid hyperparameters, [`TrainError::EmptyDataset`] for empty
     /// input.
-    pub fn train(&self, data: &DenseDataset<f32>) -> Result<ChaosReport, TrainError> {
-        let recorder = ShardedRecorder::new(self.threads.max(1));
+    pub fn train(&self, data: &DenseDataset<f32>) -> Result<TrainReport, TrainError> {
+        let recorder = ShardedRecorder::new(self.sgd.threads.max(1));
         self.train_traced(data, &recorder, &NoopTracer)
     }
 
     /// Runs the deterministic engine, recording telemetry through the
     /// given [`Recorder`] and spans through the given [`Tracer`]. The
     /// simulator records no wall-clock metrics, so the full snapshot — and
-    /// therefore the whole [`ChaosReport`] — is a pure function of the
-    /// configuration and seeds.
+    /// therefore the whole [`TrainReport`] — is a pure function of the
+    /// configuration and seeds; the report's
+    /// [`wall_seconds`](TrainReport::wall_seconds) and
+    /// [`gnps`](TrainReport::gnps) read 0.
     ///
     /// Spans are stamped with the *scheduler tick* (use a virtual-clock
     /// tracer such as `RingTracer::virtual_clock`): one-tick minibatch
@@ -161,20 +142,22 @@ impl ChaosSgdConfig {
         data: &DenseDataset<f32>,
         recorder: &R,
         tracer: &T,
-    ) -> Result<ChaosReport, TrainError> {
-        self.validate()?;
+    ) -> Result<TrainReport, TrainError> {
+        let plan = self.sgd.faults.as_ref().expect("new sets the plan");
+        plan.validate()?;
+        self.sgd.validate()?;
         if data.examples() == 0 {
             return Err(TrainError::EmptyDataset);
         }
-        let mut sim = Simulator::new(self, data, recorder, tracer);
-        for epoch in 0..self.epochs {
+        let mut sim = Simulator::new(&self.sgd, plan, data, recorder, tracer);
+        for epoch in 0..self.sgd.epochs {
             sim.run_epoch(epoch);
         }
-        Ok(ChaosReport {
-            model: sim.shared,
-            epoch_losses: sim.epoch_losses,
-            metrics: recorder.snapshot(),
-        })
+        Ok(TrainReport::from_parts(
+            sim.shared,
+            sim.epoch_losses,
+            recorder.snapshot(),
+        ))
     }
 }
 
@@ -191,6 +174,8 @@ struct VWorker {
     stall_left: u32,
     /// An iteration fate has been drawn and is waiting to execute.
     armed: bool,
+    /// Rounding randomness for this worker's writes this epoch.
+    rng: QuantState,
     /// Private stale view of the model (obstinacy > 0 only).
     view: Option<Vec<f32>>,
 }
@@ -225,11 +210,8 @@ struct Telemetry<C, H> {
 }
 
 struct Simulator<'d, C, H, W> {
-    loss: Loss,
-    plan: FaultPlan,
-    threads: usize,
-    step_size: f32,
-    step_decay: f32,
+    config: &'d SgdConfig,
+    plan: &'d FaultPlan,
     data: &'d DenseDataset<f32>,
     shared: Vec<f32>,
     workers: Vec<VWorker>,
@@ -245,7 +227,8 @@ struct Simulator<'d, C, H, W> {
 
 impl<'d, C: Counter, H: Histogram, W: WorkerTracer> Simulator<'d, C, H, W> {
     fn new<R: Recorder<Counter = C, Histogram = H>, T: Tracer<Worker = W>>(
-        config: &ChaosSgdConfig,
+        config: &'d SgdConfig,
+        plan: &'d FaultPlan,
         data: &'d DenseDataset<f32>,
         recorder: &R,
         tracer: &T,
@@ -263,11 +246,8 @@ impl<'d, C: Counter, H: Histogram, W: WorkerTracer> Simulator<'d, C, H, W> {
             progress_lag: recorder.histogram(chaos_metric::PROGRESS_LAG),
         };
         Simulator {
-            loss: config.loss,
-            plan: config.plan.clone(),
-            threads: config.threads,
-            step_size: config.step_size,
-            step_decay: config.step_decay,
+            config,
+            plan,
             data,
             shared: vec![0f32; data.features()],
             workers: Vec::new(),
@@ -282,24 +262,22 @@ impl<'d, C: Counter, H: Histogram, W: WorkerTracer> Simulator<'d, C, H, W> {
 
     fn run_epoch(&mut self, epoch: usize) {
         let m = self.data.examples();
+        let threads = self.config.threads;
         let stale_views = self.plan.obstinacy_q() > 0.0;
         let prev_iters: Vec<u64> = if self.workers.is_empty() {
-            vec![0; self.threads]
+            vec![0; threads]
         } else {
             self.workers.iter().map(|w| w.iters).collect()
         };
-        self.workers = (0..self.threads)
+        self.workers = (0..threads)
             .map(|w| VWorker {
                 run: self.plan.worker_run(w, epoch),
                 cursor: 0,
-                shard_len: if w < m {
-                    (m - w).div_ceil(self.threads)
-                } else {
-                    0
-                },
+                shard_len: if w < m { (m - w).div_ceil(threads) } else { 0 },
                 iters: prev_iters[w],
                 stall_left: 0,
                 armed: false,
+                rng: self.config.rounding_state(epoch, w),
                 view: stale_views.then(|| self.shared.clone()),
             })
             .collect();
@@ -310,13 +288,13 @@ impl<'d, C: Counter, H: Histogram, W: WorkerTracer> Simulator<'d, C, H, W> {
             .plan
             .checkpoint_iterations()
             .map(|k| self.total_iters() + k.get());
-        let step = self.step_size * self.step_decay.powi(epoch as i32);
+        let step = self.config.epoch_step(epoch);
         let epoch_start = self.tick;
         while self.workers.iter().any(|w| w.cursor < w.shard_len) {
             self.tick += 1;
             self.apply_due_writes();
             let mut crashed = false;
-            for w in 0..self.threads {
+            for w in 0..threads {
                 if self.tick_worker(w, step) {
                     crashed = true;
                     break;
@@ -346,8 +324,11 @@ impl<'d, C: Counter, H: Histogram, W: WorkerTracer> Simulator<'d, C, H, W> {
             (self.tick - epoch_start).max(1),
             epoch as u64,
         );
-        self.epoch_losses
-            .push(metrics::mean_loss(self.loss, &self.shared, self.data));
+        self.epoch_losses.push(metrics::mean_loss(
+            self.config.loss,
+            &self.shared,
+            self.data,
+        ));
     }
 
     /// Advances worker `w` by one scheduler tick. Returns `true` if the
@@ -385,12 +366,15 @@ impl<'d, C: Counter, H: Histogram, W: WorkerTracer> Simulator<'d, C, H, W> {
         false
     }
 
+    /// One SGD iteration of worker `w`: the threaded engine's dot and AXPY
+    /// on the worker's view (or the shared model), then the plan's verdict
+    /// on the shared write.
     fn execute_iteration(&mut self, w: usize, step: f32) {
         let max_iters = self.workers.iter().map(|vw| vw.iters).max().unwrap_or(0);
         let worker = &mut self.workers[w];
         let lag = max_iters.saturating_sub(worker.iters);
         self.tel.progress_lag.record(lag as f64);
-        let i = w + worker.cursor * self.threads;
+        let i = w + worker.cursor * self.config.threads;
         let n = self.data.features();
         // Obstinate-cache staleness: each line of the private view honors
         // the accumulated invalidates with probability 1 − q.
@@ -405,9 +389,12 @@ impl<'d, C: Counter, H: Histogram, W: WorkerTracer> Simulator<'d, C, H, W> {
         }
         let x = self.data.example(i);
         let y = self.data.label(i);
-        let read_from = worker.view.as_deref().unwrap_or(&self.shared);
-        let dot: f32 = x.iter().zip(read_from).map(|(&a, &b)| a * b).sum();
-        let a = self.loss.axpy_scale(dot, y, step);
+        worker.rng.begin_iteration();
+        let dot = match &mut worker.view {
+            Some(view) => self.data.dot(view, x),
+            None => self.data.dot(&mut self.shared, x),
+        };
+        let a = self.config.loss.axpy_scale(dot, y, step);
         worker.cursor += 1;
         worker.iters += 1;
         worker.armed = false;
@@ -421,17 +408,13 @@ impl<'d, C: Counter, H: Histogram, W: WorkerTracer> Simulator<'d, C, H, W> {
         // written through unconditionally (stores are never dropped by the
         // obstinate cache; drop/delay model the *shared* side).
         if let Some(view) = &mut worker.view {
-            for (vj, &xj) in view.iter_mut().zip(x) {
-                *vj += a * xj;
-            }
+            self.data.axpy(view, a, x, &mut worker.rng);
         }
         match worker.run.write_fate() {
             WriteFate::Apply => {
                 self.tel.write_staleness.record(0.0);
                 self.spans[w].record(Phase::ModelWrite, self.tick, 1, 0);
-                for (sj, &xj) in self.shared.iter_mut().zip(x) {
-                    *sj += a * xj;
-                }
+                self.data.axpy(&mut self.shared, a, x, &mut worker.rng);
             }
             WriteFate::Drop => {
                 self.tel.dropped.incr();
@@ -451,37 +434,32 @@ impl<'d, C: Counter, H: Histogram, W: WorkerTracer> Simulator<'d, C, H, W> {
         }
     }
 
+    /// Lands a buffered write on the shared model, `tick - born_tick`
+    /// ticks late, through its worker's AXPY.
+    fn land(&mut self, p: PendingWrite) {
+        let staleness = self.tick - p.born_tick;
+        self.tel.write_staleness.record(staleness as f64);
+        self.spans[p.worker].record(Phase::ModelWrite, self.tick, 1, staleness);
+        let x = self.data.example(p.example);
+        let rng = &mut self.workers[p.worker].rng;
+        self.data.axpy(&mut self.shared, p.coeff, x, rng);
+    }
+
     fn apply_due_writes(&mut self) {
         let tick = self.tick;
-        let mut due = Vec::new();
-        self.pending.retain_mut(|p| {
-            if p.due_tick <= tick {
-                due.push((p.born_tick, p.worker, p.example, p.coeff));
-                false
-            } else {
-                true
-            }
-        });
-        for (born, worker, example, coeff) in due {
-            self.tel.write_staleness.record((tick - born) as f64);
-            self.spans[worker].record(Phase::ModelWrite, tick, 1, tick - born);
-            let x = self.data.example(example);
-            for (sj, &xj) in self.shared.iter_mut().zip(x) {
-                *sj += coeff * xj;
-            }
+        let (due, waiting) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|p| p.due_tick <= tick);
+        self.pending = waiting;
+        for p in due {
+            self.land(p);
         }
     }
 
     /// Applies everything still in the store buffer (epoch barrier).
     fn flush_pending(&mut self) {
-        let tick = self.tick;
         for p in std::mem::take(&mut self.pending) {
-            self.tel.write_staleness.record((tick - p.born_tick) as f64);
-            self.spans[p.worker].record(Phase::ModelWrite, tick, 1, tick - p.born_tick);
-            let x = self.data.example(p.example);
-            for (sj, &xj) in self.shared.iter_mut().zip(x) {
-                *sj += p.coeff * xj;
-            }
+            self.land(p);
         }
     }
 
@@ -513,104 +491,6 @@ impl<'d, C: Counter, H: Histogram, W: WorkerTracer> Simulator<'d, C, H, W> {
             // Restarted processes come up with a cold, coherent cache.
             worker.view = stale_views.then(|| self.shared.clone());
         }
-    }
-}
-
-/// The result of a deterministic chaos run: model, losses, and the full
-/// (wall-clock-free, bit-reproducible) telemetry snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosReport {
-    model: Vec<f32>,
-    epoch_losses: Vec<f64>,
-    metrics: MetricsSnapshot,
-}
-
-impl ChaosReport {
-    /// The trained model.
-    #[must_use]
-    pub fn model(&self) -> &[f32] {
-        &self.model
-    }
-
-    /// Mean training loss after each epoch.
-    #[must_use]
-    pub fn epoch_losses(&self) -> &[f64] {
-        &self.epoch_losses
-    }
-
-    /// The last epoch's training loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no epochs ran.
-    #[must_use]
-    pub fn final_loss(&self) -> f64 {
-        *self.epoch_losses.last().expect("no epochs ran")
-    }
-
-    /// Iterations executed (including replayed ones), from telemetry.
-    #[must_use]
-    pub fn iterations(&self) -> u64 {
-        self.metrics.counter(metric::ITERATIONS).unwrap_or(0)
-    }
-
-    /// Injected stalls served.
-    #[must_use]
-    pub fn stalls(&self) -> u64 {
-        self.metrics.counter(chaos_metric::STALLS).unwrap_or(0)
-    }
-
-    /// Shared-model writes the plan discarded.
-    #[must_use]
-    pub fn dropped_writes(&self) -> u64 {
-        self.metrics
-            .counter(chaos_metric::DROPPED_WRITES)
-            .unwrap_or(0)
-    }
-
-    /// Shared-model writes the plan delayed.
-    #[must_use]
-    pub fn delayed_writes(&self) -> u64 {
-        self.metrics
-            .counter(chaos_metric::DELAYED_WRITES)
-            .unwrap_or(0)
-    }
-
-    /// Crash recoveries performed.
-    #[must_use]
-    pub fn recoveries(&self) -> u64 {
-        self.metrics.counter(chaos_metric::RECOVERIES).unwrap_or(0)
-    }
-
-    /// Iterations rolled back and re-run after crashes.
-    #[must_use]
-    pub fn replayed_iterations(&self) -> u64 {
-        self.metrics
-            .counter(chaos_metric::REPLAYED_ITERATIONS)
-            .unwrap_or(0)
-    }
-
-    /// Mean scheduler-tick staleness of applied shared-model writes.
-    #[must_use]
-    pub fn mean_write_staleness(&self) -> f64 {
-        self.metrics
-            .histogram(chaos_metric::WRITE_STALENESS)
-            .map_or(0.0, |h| h.mean())
-    }
-
-    /// Mean iteration lag behind the most advanced worker — the realized
-    /// staleness bound of the run.
-    #[must_use]
-    pub fn mean_progress_lag(&self) -> f64 {
-        self.metrics
-            .histogram(chaos_metric::PROGRESS_LAG)
-            .map_or(0.0, |h| h.mean())
-    }
-
-    /// The full telemetry snapshot.
-    #[must_use]
-    pub fn metrics(&self) -> &MetricsSnapshot {
-        &self.metrics
     }
 }
 

@@ -49,8 +49,9 @@
 //! with checkpoint recovery — and the engines execute it deterministically.
 //! A plan is part of the configuration: [`SgdConfig::faults`] injects it
 //! into the threaded Hogwild engine, and [`ChaosSgdConfig`] (which takes
-//! its plan in `new`) runs the single-thread deterministic simulator whose
-//! [`ChaosReport`] is bit-reproducible per seed. The common import surface
+//! its plan in `new`) runs the single-thread deterministic simulator, a
+//! scheduler over the threaded engine's own dot and AXPY whose
+//! [`TrainReport`] is bit-reproducible per seed. The common import surface
 //! lives in [`prelude`].
 //!
 //! Observability: the `buckwild-trace` crate defines zero-cost span
@@ -96,7 +97,7 @@ mod shard;
 mod train;
 mod words;
 
-pub use chaos::{ChaosReport, ChaosSgdConfig};
+pub use chaos::ChaosSgdConfig;
 pub use config::{
     default_backend, set_default_backend, Backend, ConfigError, EpochObserver, QuantizerConfig,
     SgdConfig, SnapshotObserver,

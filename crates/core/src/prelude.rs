@@ -1,7 +1,7 @@
 //! One-stop import surface for the public training API.
 //!
-//! Pulls in the two engines ([`SgdConfig`], [`ChaosSgdConfig`]), their
-//! reports and error types, the fault-plan vocabulary ([`FaultPlan`] and
+//! Pulls in the two engines ([`SgdConfig`], [`ChaosSgdConfig`]), the
+//! [`TrainReport`] and error types they share, the fault-plan vocabulary ([`FaultPlan`] and
 //! the fates it schedules), and the configuration enums. Examples and
 //! downstream code should start with:
 //!
@@ -15,7 +15,7 @@
 //! # Ok::<(), TrainError>(())
 //! ```
 
-pub use crate::chaos::{ChaosReport, ChaosSgdConfig};
+pub use crate::chaos::ChaosSgdConfig;
 pub use crate::config::{
     default_backend, set_default_backend, Backend, ConfigError, EpochObserver, QuantizerConfig,
     SgdConfig, SnapshotObserver,

@@ -7,7 +7,7 @@ use buckwild::prelude::*;
 use buckwild_dataset::generate;
 use buckwild_trace::fault_kind;
 
-fn traced_chaos_json(seed: u64) -> (ChaosReport, String) {
+fn traced_chaos_json(seed: u64) -> (TrainReport, String) {
     let problem = generate::logistic_dense(32, 240, seed);
     let plan = FaultPlan::new(seed)
         .stalls(0.08, 3)
