@@ -18,7 +18,7 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
-use crate::words::{pack, unpack};
+use buckwild_kernels::cells::{load_cells, store_cells};
 
 struct Slot {
     scale: AtomicU32,
@@ -140,14 +140,7 @@ impl DeltaRing {
             return false;
         }
         let slot = &self.slots[tail % self.capacity()];
-        let mut bytes = q.chunks_exact(8);
-        let mut cells = slot.payload.iter();
-        for (b, cell) in (&mut bytes).zip(&mut cells) {
-            cell.store(pack(b), Ordering::Relaxed);
-        }
-        if let Some(cell) = cells.next() {
-            cell.store(pack(bytes.remainder()), Ordering::Relaxed);
-        }
+        store_cells(&slot.payload, q);
         slot.scale.store(scale.to_bits(), Ordering::Relaxed);
         // Publish: everything written above happens-before a consumer
         // that observes the new tail.
@@ -169,14 +162,7 @@ impl DeltaRing {
             return None;
         }
         let slot = &self.slots[head % self.capacity()];
-        let mut bytes = out.chunks_exact_mut(8);
-        let mut cells = slot.payload.iter();
-        for (b, cell) in (&mut bytes).zip(&mut cells) {
-            unpack(cell.load(Ordering::Relaxed), b);
-        }
-        if let Some(cell) = cells.next() {
-            unpack(cell.load(Ordering::Relaxed), bytes.into_remainder());
-        }
+        load_cells(&slot.payload, out);
         let scale = f32::from_bits(slot.scale.load(Ordering::Relaxed));
         // Release: the producer may reuse the slot once it sees the new
         // head, after our payload reads above.

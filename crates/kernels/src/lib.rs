@@ -19,6 +19,9 @@
 //!   LLVM auto-vectorizes; floats are processed with blocked multiple
 //!   accumulators. Rounding randomness comes from a lane-vectorized
 //!   XORSHIFT, optionally shared across the AXPY (paper §5.2).
+//! * [`cells`] — the shared model's packed `AtomicU64` cells: their lane
+//!   layout, and the optimized integer dot and AXPY run on the cells
+//!   themselves, one relaxed load (and store) per cell.
 //! * [`sparse`] — gather/scatter variants of both flavours for CSR data.
 //! * [`nibble`] — packed 4-bit kernels for the hypothetical D4M4 ISA.
 //! * [`cost`] — an instruction-count cost model covering current AVX2, the
@@ -26,7 +29,8 @@
 //!   used to reproduce the proxy-instruction experiments.
 //!
 //! The free functions of those modules are the API: the training engine
-//! and the `Predictor` call `optimized::*` / `sparse::*` directly.
+//! and the `Predictor` call `optimized::*`, `cells::*` and `sparse::*`
+//! directly.
 //! [`KernelFlavor`] names an implementation for the kernel-level
 //! comparison (Figure 4, §6.1), and [`dispatch`] holds the two
 //! flavour-routed dots a comparison harness sweeps it through.
@@ -55,6 +59,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cells;
 pub mod cost;
 pub mod delta;
 pub mod dispatch;

@@ -459,6 +459,15 @@ impl<'a, 'b> OffsetSource<'a, 'b> {
     }
 }
 
+/// The multiplier `k` as an `i32`, if the AXPY's `i32` fast path can
+/// take it: `|x·k| + 2^15 < 2^30` for every `D` value `x`, so the delta
+/// and the updated word both fit an `i32` with ample headroom.
+#[inline]
+pub(crate) fn gain_i32<D: FixedInt>(k: i64) -> Option<i32> {
+    let max_x = 1i64 << (D::BITS - 1);
+    (k.abs().saturating_mul(max_x) < (1i64 << 30)).then_some(k as i32)
+}
+
 /// Integer AXPY `w[i] ← sat(w[i] + ((x[i]·k + offs[i & 7]) >> 15))` with
 /// the `Q17.15` multiplier `k = round(a · q_x / q_w · 2^15)` already
 /// scaled and clamped to the `i32` range, and one 8-entry block of
@@ -476,52 +485,65 @@ impl<'a, 'b> OffsetSource<'a, 'b> {
 #[inline]
 pub fn axpy_block_offsets<D: FixedInt, M: FixedInt>(w: &mut [M], x: &[D], k: i64, offs: &[i64; 8]) {
     assert_eq!(x.len(), w.len(), "length mismatch");
-    // i32 fast path: |x·k + off| must fit in i31.
-    // The delta and the updated value must both fit i32: deltas are bounded
-    // by |x·k| >> 15 and the model value by M::BITS, so requiring
-    // |x·k| + 2^15 < 2^30 leaves ample headroom.
-    let max_x = 1i64 << (D::BITS - 1);
-    if k.abs().saturating_mul(max_x) < (1i64 << 30) {
-        let k32 = k as i32;
+    if let Some(k32) = gain_i32::<D>(k) {
         let offs32 = offs.map(|o| o as i32);
-        if simd_axpy_offsets(w, x, k32, &offs32).is_some() {
-            return;
-        }
-        let mut wc = w.chunks_exact_mut(8);
-        let mut xc = x.chunks_exact(8);
-        for (wb, xb) in (&mut wc).zip(&mut xc) {
-            for j in 0..8 {
-                let delta = (xb[j].widen() * k32 + offs32[j]) >> K_SHIFT;
-                wb[j] = M::saturate_i32(wb[j].widen() + delta);
-            }
-        }
-        for (j, (wi, xi)) in wc
-            .into_remainder()
-            .iter_mut()
-            .zip(xc.remainder())
-            .enumerate()
-        {
-            let delta = (xi.widen() * k32 + offs32[j & 7]) >> K_SHIFT;
-            *wi = M::saturate_i32(wi.widen() + delta);
+        if simd_axpy_offsets(w, x, k32, &offs32).is_none() {
+            axpy_offsets_i32(w, x, k32, &offs32);
         }
     } else {
-        let mut wc = w.chunks_exact_mut(8);
-        let mut xc = x.chunks_exact(8);
-        for (wb, xb) in (&mut wc).zip(&mut xc) {
-            for j in 0..8 {
-                let delta = (xb[j].widen() as i64 * k + offs[j]) >> K_SHIFT;
-                wb[j] = M::saturate(wb[j].widen() as i64 + delta);
-            }
+        axpy_offsets_i64(w, x, k, offs);
+    }
+}
+
+/// [`axpy_block_offsets`]'s scalar `i32` fast path.
+#[inline]
+fn axpy_offsets_i32<D: FixedInt, M: FixedInt>(w: &mut [M], x: &[D], k32: i32, offs32: &[i32; 8]) {
+    let mut wc = w.chunks_exact_mut(8);
+    let mut xc = x.chunks_exact(8);
+    for (wb, xb) in (&mut wc).zip(&mut xc) {
+        for j in 0..8 {
+            let delta = (xb[j].widen() * k32 + offs32[j]) >> K_SHIFT;
+            wb[j] = M::saturate_i32(wb[j].widen() + delta);
         }
-        for (j, (wi, xi)) in wc
-            .into_remainder()
-            .iter_mut()
-            .zip(xc.remainder())
-            .enumerate()
-        {
-            let delta = (xi.widen() as i64 * k + offs[j & 7]) >> K_SHIFT;
-            *wi = M::saturate(wi.widen() as i64 + delta);
+    }
+    axpy_words_i32(wc.into_remainder(), xc.remainder(), k32, offs32);
+}
+
+/// [`axpy_offsets_i32`] on fewer than 8 words at a multiple of 8, or on
+/// any words with their own slice of offsets: word `j` takes `offs32[j]`.
+#[inline]
+pub(crate) fn axpy_words_i32<D: FixedInt, M: FixedInt>(
+    w: &mut [M],
+    x: &[D],
+    k32: i32,
+    offs32: &[i32],
+) {
+    for ((wi, xi), off) in w.iter_mut().zip(x).zip(offs32) {
+        let delta = (xi.widen() * k32 + off) >> K_SHIFT;
+        *wi = M::saturate_i32(wi.widen() + delta);
+    }
+}
+
+/// [`axpy_block_offsets`] in `i64`, for multipliers too large for `i32`.
+#[inline]
+fn axpy_offsets_i64<D: FixedInt, M: FixedInt>(w: &mut [M], x: &[D], k: i64, offs: &[i64; 8]) {
+    let mut wc = w.chunks_exact_mut(8);
+    let mut xc = x.chunks_exact(8);
+    for (wb, xb) in (&mut wc).zip(&mut xc) {
+        for j in 0..8 {
+            let delta = (xb[j].widen() as i64 * k + offs[j]) >> K_SHIFT;
+            wb[j] = M::saturate(wb[j].widen() as i64 + delta);
         }
+    }
+    axpy_words_i64(wc.into_remainder(), xc.remainder(), k, offs);
+}
+
+/// [`axpy_words_i32`] in `i64`.
+#[inline]
+pub(crate) fn axpy_words_i64<D: FixedInt, M: FixedInt>(w: &mut [M], x: &[D], k: i64, offs: &[i64]) {
+    for ((wi, xi), off) in w.iter_mut().zip(x).zip(offs) {
+        let delta = (xi.widen() as i64 * k + off) >> K_SHIFT;
+        *wi = M::saturate(wi.widen() as i64 + delta);
     }
 }
 

@@ -16,16 +16,21 @@
 //!   runs with both signs of its multiplier so a saturating write lands
 //!   away from an `i8`/`i16` `MIN` canary at least once.
 //!
+//! The kernels on the shared model's packed cells take their example
+//! the same way and their cells fenced by canary cells: a read of one
+//! moves the result, a write replaces it.
+//!
 //! Every case runs pinned to `scalar` and to the detected tier via
 //! `isa::scoped`, serialized because the override is process-global.
 //! Lengths cover the empty operand, every tail shape around the
 //! 8/16/32-wide steps and one long run.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use buckwild_fixed::FixedSpec;
 use buckwild_kernels::optimized::{self, FixedInt};
-use buckwild_kernels::{delta, isa, KernelIsa};
+use buckwild_kernels::{cells, delta, isa, KernelIsa};
 use buckwild_prng::{Prng, Xorshift128};
 
 /// Operand lengths swept by every test.
@@ -347,4 +352,124 @@ fn float_axpys_stay_inside_their_operands() {
         q.into_bits("apply_delta_i8");
         acc.into_bits("apply_delta_i8")
     });
+}
+
+/// Canary cells on each side of a packed operand: every byte `0x7f`
+/// before and `0x80` after — `MAX` and `MIN` in each `i8` lane, as for
+/// the plain operands, and a value no `i16` lane reaches by a zero delta.
+const CELL_BEFORE: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+const CELL_AFTER: u64 = 0x8080_8080_8080_8080;
+
+/// Canary cells on each side (one 64-byte line).
+const CELL_GUARD: usize = 8;
+
+/// Words packed into cells as the shared model packs them, the last cell
+/// partly padding when the words do not fill it, fenced by canary cells.
+struct GuardedCells {
+    buf: Vec<AtomicU64>,
+    len: usize,
+}
+
+impl GuardedCells {
+    fn new<M: cells::Lane>(words: &[M]) -> Self {
+        let len = words.len().div_ceil(M::LANES);
+        let buf: Vec<AtomicU64> = (0..2 * CELL_GUARD + len)
+            .map(|i| {
+                AtomicU64::new(if i < CELL_GUARD {
+                    CELL_BEFORE
+                } else {
+                    CELL_AFTER
+                })
+            })
+            .collect();
+        cells::store_cells(&buf[CELL_GUARD..CELL_GUARD + len], words);
+        GuardedCells { buf, len }
+    }
+
+    fn get(&self) -> &[AtomicU64] {
+        &self.buf[CELL_GUARD..CELL_GUARD + self.len]
+    }
+
+    /// Every cell's bits, after asserting every canary is untouched.
+    fn into_bits(self, what: &str) -> Vec<u64> {
+        let bits: Vec<u64> = self.buf.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        let (before, rest) = bits.split_at(CELL_GUARD);
+        let (cells, after) = rest.split_at(self.len);
+        for (i, &c) in before.iter().enumerate() {
+            assert_eq!(
+                c,
+                CELL_BEFORE,
+                "{what}: canary cell {i} overwritten under {}",
+                isa::active()
+            );
+        }
+        for (i, &c) in after.iter().enumerate() {
+            assert_eq!(
+                c,
+                CELL_AFTER,
+                "{what}: canary cell +{i} overwritten under {}",
+                isa::active()
+            );
+        }
+        cells.to_vec()
+    }
+}
+
+fn dot_cells_pair<D: FixedInt + Lane, M: FixedInt + Lane + cells::Lane>(what: &str) {
+    sweep(what, |n, m| {
+        let x = Guarded::new(&data::<D>(n, 21), m);
+        let w = GuardedCells::new(&data::<M>(n, 22));
+        let got = cells::dot_cells_sum::<D, M>(x.get(), w.get());
+        x.into_bits(what);
+        w.into_bits(what);
+        got
+    });
+}
+
+#[test]
+fn cell_dots_stay_inside_their_operands() {
+    dot_cells_pair::<i8, i8>("dot_cells_sum i8 x i8");
+    dot_cells_pair::<i8, i16>("dot_cells_sum i8 x i16");
+    dot_cells_pair::<i16, i8>("dot_cells_sum i16 x i8");
+    dot_cells_pair::<i16, i16>("dot_cells_sum i16 x i16");
+}
+
+/// The cell AXPY runs on the whole cells, as the shared model runs it; a
+/// partial last cell past them must keep its words and its zero pad lanes.
+fn axpy_cells_pair<D: FixedInt + Lane, M: FixedInt + Lane + cells::Lane>(what: &str) {
+    for k in [K, -K] {
+        sweep(what, |n, m| {
+            let mut rng = Xorshift128::seed_from(n as u64);
+            let offs: [i64; 8] = std::array::from_fn(|_| i64::from(rng.next_u32() >> 17));
+            let words = data::<M>(n, 24);
+            let whole = n / M::LANES;
+            let x = Guarded::new(&data::<D>(whole * M::LANES, 23), m);
+            let w = GuardedCells::new(&words);
+            cells::axpy_cells_block_offsets::<D, M>(&w.get()[..whole], x.get(), k, &offs);
+            x.into_bits(what);
+            let bits = w.into_bits(what);
+            if n % M::LANES != 0 {
+                let partial = GuardedCells::new(&words[whole * M::LANES..]).into_bits(what);
+                assert_eq!(
+                    bits[whole..],
+                    partial[..],
+                    "{what}: partial last cell n={n}"
+                );
+                assert_eq!(
+                    bits[whole] >> (n % M::LANES * M::LANE_BITS),
+                    0,
+                    "{what}: pad lanes"
+                );
+            }
+            bits
+        });
+    }
+}
+
+#[test]
+fn cell_axpy_stays_inside_its_cells() {
+    axpy_cells_pair::<i8, i8>("axpy_cells_block_offsets i8 -> i8");
+    axpy_cells_pair::<i8, i16>("axpy_cells_block_offsets i8 -> i16");
+    axpy_cells_pair::<i16, i8>("axpy_cells_block_offsets i16 -> i8");
+    axpy_cells_pair::<i16, i16>("axpy_cells_block_offsets i16 -> i16");
 }

@@ -8,16 +8,19 @@
 //! compare outputs bit for bit (`f32::to_bits`) over every length in
 //! `0..=192` — three 64-element blocks, covering empty inputs,
 //! sub-block tails, and every SIMD remainder shape for 8/16/32-wide
-//! steps.
+//! steps. The kernels on the shared model's packed cells are swept the
+//! same way, and at 2048.
 //!
 //! On a machine without AVX2 both runs take the scalar path and the
 //! assertions are trivially true — the suite is then a no-op, not a
 //! failure, which is exactly what CI's `scalar` matrix leg expects.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use buckwild_fixed::FixedSpec;
-use buckwild_kernels::{delta, isa, optimized, AxpyRand, KernelIsa};
+use buckwild_kernels::optimized::FixedInt;
+use buckwild_kernels::{cells, delta, isa, optimized, AxpyRand, KernelIsa};
 use buckwild_prng::{Prng, Xorshift128};
 
 /// Lengths swept by every test: all tail shapes of the 8/16/32-wide SIMD
@@ -191,5 +194,86 @@ fn float_axpy_and_delta_apply_are_bit_identical() {
             [ff, f8, acc].map(|v| v.into_iter().map(f32::to_bits).collect::<Vec<_>>())
         });
         assert_eq!(scalar, vector, "float AXPY/delta diverges at n={n}");
+    }
+}
+
+/// A random word of the type, for the cell kernels' generic sweep.
+trait Random: cells::Lane + FixedInt {
+    fn random(rng: &mut impl Prng) -> Self;
+}
+
+impl Random for i8 {
+    fn random(rng: &mut impl Prng) -> i8 {
+        rng.next_u32() as i8
+    }
+}
+
+impl Random for i16 {
+    fn random(rng: &mut impl Prng) -> i16 {
+        rng.next_u32() as i16
+    }
+}
+
+/// `words` packed into as many fresh cells as they need.
+fn packed<M: cells::Lane>(words: &[M]) -> Vec<AtomicU64> {
+    let cells: Vec<AtomicU64> = (0..words.len().div_ceil(M::LANES))
+        .map(|_| AtomicU64::new(0))
+        .collect();
+    cells::store_cells(&cells, words);
+    cells
+}
+
+/// The raw bits of every cell.
+fn cell_bits(cells: &[AtomicU64]) -> Vec<u64> {
+    cells.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+}
+
+/// Multipliers on the `i32` fast path with both signs, and two that take
+/// the `i64` path for either data width.
+const CELL_GAINS: [i64; 4] = [2048, -2048, 1 << 24, -(1 << 24)];
+
+/// The cell dot and the cell AXPY of one (D, M) pair at length `n`, under
+/// both tiers: bit-identical to each other and to the slice kernels on
+/// the same words. The AXPY runs on the whole cells, as the shared model
+/// runs it, and must leave a partial last cell — and its zero pad lanes —
+/// as it found it.
+fn check_cells<D: Random, M: Random>(rng: &mut impl Prng, n: usize) {
+    let x: Vec<D> = (0..n).map(|_| D::random(rng)).collect();
+    let w: Vec<M> = (0..n).map(|_| M::random(rng)).collect();
+    let offs: [i64; 8] = std::array::from_fn(|_| i64::from(rng.next_u32() >> 17));
+    let tag = format!("D{} M{} n={n}", D::BITS, M::BITS);
+
+    let cells = packed(&w);
+    let (scalar, vector) = under_both(|| cells::dot_cells_sum::<D, M>(&x, &cells));
+    assert_eq!(scalar, vector, "cell dot diverges: {tag}");
+    assert_eq!(vector, optimized::dot_fixed_sum(&x, &w), "cell dot: {tag}");
+
+    let whole = n / M::LANES * M::LANES;
+    for k in CELL_GAINS {
+        let (scalar, vector) = under_both(|| {
+            let cells = packed(&w);
+            cells::axpy_cells_block_offsets::<D, M>(
+                &cells[..whole / M::LANES],
+                &x[..whole],
+                k,
+                &offs,
+            );
+            cell_bits(&cells)
+        });
+        assert_eq!(scalar, vector, "cell AXPY diverges: {tag} k={k}");
+        let mut plain = w.clone();
+        optimized::axpy_block_offsets(&mut plain[..whole], &x[..whole], k, &offs);
+        assert_eq!(vector, cell_bits(&packed(&plain)), "cell AXPY: {tag} k={k}");
+    }
+}
+
+#[test]
+fn cell_kernels_are_bit_identical_for_every_length() {
+    let mut rng = Xorshift128::seed_from(0x51D4);
+    for n in (0..=MAX_LEN).chain([2048]) {
+        check_cells::<i8, i8>(&mut rng, n);
+        check_cells::<i8, i16>(&mut rng, n);
+        check_cells::<i16, i8>(&mut rng, n);
+        check_cells::<i16, i16>(&mut rng, n);
     }
 }
