@@ -9,10 +9,13 @@
 //! relaxed `AtomicU64` whose loads and stores compile to plain `mov`s,
 //! and the *algorithmic* race (lost updates between a worker's load and
 //! its store) is preserved because we deliberately use separate load/store
-//! pairs rather than `fetch_add`. A dense dot or AXPY copies cells to a
-//! stack block, runs the SIMD kernel on it, and (AXPY) stores the block
-//! back one cache line at a time, so the race has vector granularity, as
-//! with the paper's AVX2 loads and stores.
+//! pairs rather than `fetch_add`. A dense integer dot or AXPY runs the
+//! SIMD kernel on the cells themselves (`buckwild_kernels::cells`): one
+//! relaxed load per cell straight into a vector lane and, for the AXPY,
+//! one relaxed store per cell of the result, with nothing copied to the
+//! stack. A racing writer therefore loses at most one cell of updates (8
+//! D8 or 4 D16 words), the vector granularity of the paper's AVX2 loads
+//! and stores.
 
 use std::sync::atomic::AtomicU64;
 
@@ -298,8 +301,10 @@ impl SharedModel {
     /// Dense quantized AXPY with a fixed 8-entry offset block — the fast
     /// path for biased and shared-randomness rounding, where the offsets
     /// are constant across the call and no per-element indirect call is
-    /// needed. Integer storage runs the SIMD kernel one 64-byte line at a
-    /// time: relaxed loads of the line's cells, the kernel, relaxed stores.
+    /// needed. Integer storage runs the SIMD kernel once on the whole
+    /// cells: per cell one relaxed load, the kernel's arithmetic and one
+    /// relaxed store, so a racing writer loses at most one cell. A last
+    /// cell that is partly padding takes the per-element path.
     ///
     /// # Panics
     ///

@@ -45,6 +45,7 @@ fn perf_model_predicts_engine_throughput() {
     model.calibrate(&sig, t1);
     let predicted = model.predict(&sig, n, 2).expect("calibrated");
     let ratio = predicted / t2;
+    eprintln!("perf model: predicted {predicted:.3} vs measured {t2:.3} GNPS, ratio {ratio:.3}");
     assert!(
         (0.5..=2.0).contains(&ratio),
         "predicted {predicted} vs measured {t2}"
